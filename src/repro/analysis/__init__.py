@@ -35,6 +35,9 @@ plausible-looking but wrong delay number:
   durability-ordering analyzer (lockset race detection across thread
   roots, lock-order cycles, blocking under a lock, signal-handler
   safety, WAL reply-vs-fsync ordering), run via ``--pass interlock``;
+* :mod:`repro.analysis.passes` — the front end the four code passes
+  share: the ``--pass`` registry and dispatcher, one parse and call
+  graph per run, the pass-model base and the one waiver audit;
 * :mod:`repro.analysis.reporters` — text, JSON, and SARIF renderers
   shared by ``repro-route lint`` and ``python -m repro.analysis``.
 

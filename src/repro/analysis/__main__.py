@@ -1,10 +1,9 @@
 """``python -m repro.analysis`` — lint the source tree.
 
-Runs the AST discipline rules of :mod:`repro.analysis.source_rules`
-and/or the whole-program determinism pass of
-:mod:`repro.analysis.dataflow` over the given files/directories
-(default: ``src/repro``) and exits non-zero when any error-severity
-diagnostic is found. This is the code-side twin of ``repro-route
+Runs the code passes of :data:`repro.analysis.passes.PASSES` (the AST
+discipline rules of :mod:`repro.analysis.source_rules` by default) over
+one parse of the given files/directories (default: ``src/repro``) and
+exits non-zero when any error-severity diagnostic is found. This is the code-side twin of ``repro-route
 lint``, which runs the same framework over routing data.
 
 Examples::
@@ -24,17 +23,13 @@ import argparse
 import sys
 from pathlib import Path
 
-# Importing the dataflow/contracts/interlock engines registers their
-# rules, so --list-rules / --select / --ignore see the full catalog.
-from repro.analysis.contracts.engine import analyze_contracts
-from repro.analysis.dataflow.engine import analyze_dataflow
 from repro.analysis.diagnostics import LintConfig, has_errors, registry
-from repro.analysis.interlock.engine import analyze_interlock
-from repro.analysis.reporters import render_json, render_sarif, render_text
-from repro.analysis.source_rules import lint_source_tree
+from repro.analysis.passes import PASSES, load_passes, run_passes
+from repro.analysis.reporters import RENDERERS
 
-#: The analyses ``--pass`` can name.
-PASSES = ("source", "dataflow", "contracts", "interlock", "all")
+# Loading the passes registers their rules, so --list-rules, --select
+# and --ignore see the full catalog.
+load_passes()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[Path("src/repro")],
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--pass", dest="lint_pass", choices=PASSES,
+    parser.add_argument("--pass", dest="lint_pass",
+                        choices=(*PASSES, "all"),
                         default="source",
                         help="which analysis to run: per-file AST rules "
                              "(source), the whole-program determinism & "
@@ -55,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "signal & durability-ordering analyzer "
                              "(interlock), or everything (all); "
                              "default: source")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=tuple(RENDERERS),
                         default="text")
     parser.add_argument("--select", action="append", default=[],
                         metavar="RULE",
@@ -115,18 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no such path(s): "
               f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
         return 2
-    diagnostics = []
-    if args.lint_pass in ("source", "all"):
-        diagnostics.extend(lint_source_tree(args.paths, config))
-    if args.lint_pass in ("dataflow", "all"):
-        diagnostics.extend(analyze_dataflow(args.paths, config))
-    if args.lint_pass in ("contracts", "all"):
-        diagnostics.extend(analyze_contracts(args.paths, config))
-    if args.lint_pass in ("interlock", "all"):
-        diagnostics.extend(analyze_interlock(args.paths, config))
-    render = {"json": render_json, "sarif": render_sarif,
-              "text": render_text}[args.format]
-    print(render(diagnostics))
+    names = list(PASSES) if args.lint_pass == "all" else [args.lint_pass]
+    diagnostics = run_passes(names, args.paths, config)
+    print(RENDERERS[args.format](diagnostics))
     return 1 if has_errors(diagnostics) else 0
 
 

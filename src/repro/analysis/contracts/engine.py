@@ -13,31 +13,20 @@ and what each boundary is allowed to let escape.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    LintConfig,
-    Location,
-    Severity,
-    registry,
-    sort_diagnostics,
-)
+from repro.analysis.diagnostics import Diagnostic, LintConfig
 from repro.analysis.dataflow.callgraph import (
     CallGraph,
     FunctionInfo,
-    ModuleInfo,
     ProjectModel,
     _dotted_name,
     build_project,
 )
-from repro.analysis.contracts.raises import (
-    RaiseAnalysis,
-    analyze_raises,
-    canonical,
-)
+from repro.analysis.contracts.raises import analyze_raises, canonical
+from repro.analysis.passes import PassModel, run_pass
 
 
 @dataclass(frozen=True)
@@ -92,31 +81,20 @@ class BoundaryDecl:
     lineno: int
 
 
-class ContractsModel:
+class ContractsModel(PassModel):
     """Everything a contracts rule may consult, precomputed once."""
 
-    def __init__(self, project: ProjectModel, graph: CallGraph,
-                 raises: RaiseAnalysis, options: ContractOptions,
-                 pool_entries: tuple[str, ...],
-                 boundaries: dict[str, BoundaryDecl]):
-        self.project = project
-        self.graph = graph
-        self.raises = raises
-        self.options = options
-        self.pool_entries = pool_entries
-        self.boundaries = boundaries
-        self._module_by_path: dict[Path, ModuleInfo] = {
-            info.path: info for info in project.modules.values()}
-
-    def module_at(self, path: str | Path) -> ModuleInfo | None:
-        return self._module_by_path.get(Path(path))
-
-    def allows(self, rule_id: str, path: str | Path, lineno: int) -> bool:
-        """Whether an allow-pragma waives ``rule_id`` at this site."""
-        module = self.module_at(path)
-        if module is None:
-            return False
-        return module.source.allows(rule_id, lineno)
+    def __init__(self, project: ProjectModel,
+                 options: ContractOptions | None = None):
+        super().__init__(project)
+        self.options = opts = options or ContractOptions()
+        self.raises = analyze_raises(
+            project, self.graph, track_subscripts=opts.intrinsic_subscripts)
+        self.pool_entries = tuple(sorted(
+            (set(opts.worker_entries) & project.functions.keys())
+            | self.graph.pool_entries))
+        self.boundaries = _decorated_boundaries(project, self.graph,
+                                                opts.decorator_name)
 
     def escapes_of(self, qualname: str):
         return self.raises.of(qualname)
@@ -169,54 +147,16 @@ def build_contracts_model(paths: Iterable[str | Path],
                           options: ContractOptions | None = None
                           ) -> ContractsModel:
     """Parse, build the call graph, run the may-raise fixpoint."""
-    from repro.analysis.dataflow.rules import detect_pool_entries
-
-    opts = options or ContractOptions()
-    project = build_project(paths)
-    graph = CallGraph(project)
-    raises = analyze_raises(project, graph,
-                            track_subscripts=opts.intrinsic_subscripts)
-    pool_entries = tuple(sorted(
-        (set(opts.worker_entries) & project.functions.keys())
-        | detect_pool_entries(project, graph)))
-    boundaries = _decorated_boundaries(project, graph, opts.decorator_name)
-    return ContractsModel(project=project, graph=graph, raises=raises,
-                          options=opts, pool_entries=pool_entries,
-                          boundaries=boundaries)
+    return ContractsModel(build_project(paths), options)
 
 
-def analyze_contracts(paths: Iterable[str | Path],
+def analyze_contracts(paths: Iterable[str | Path] | ProjectModel,
                       config: LintConfig | None = None,
                       options: ContractOptions | None = None
                       ) -> list[Diagnostic]:
-    """Run every enabled contracts rule over the tree under ``paths``.
-
-    As in the other passes, the waiver audit runs after every other rule
-    so it can see which pragmas were consumed.
-    """
-    from repro.analysis.contracts.rules import WAIVER_AUDIT_RULE
-
-    model = build_contracts_model(paths, options)
-    cfg = config or LintConfig()
-
-    out: list[Diagnostic] = []
-    for path, (lineno, message) in sorted(model.project.parse_errors.items()):
-        out.append(Diagnostic(
-            rule="source-syntax-error", severity=Severity.ERROR,
-            message=f"syntax error: {message}",
-            location=Location(file=str(path), line=lineno)))
-
-    main_cfg = LintConfig(
-        disabled=cfg.disabled | {WAIVER_AUDIT_RULE},
-        severity_overrides=cfg.severity_overrides)
-    out.extend(registry.run("contracts", model, main_cfg))
-    if cfg.enabled(WAIVER_AUDIT_RULE):
-        audit = registry.get(WAIVER_AUDIT_RULE)
-        severity = cfg.severity_for(audit)
-        out.extend(replace(d, severity=severity) if d.severity != severity
-                   else d for d in audit.check(model))
-        sort_diagnostics(out)
-    return out
+    """Run every enabled contracts rule over the tree under ``paths``
+    (or over a project another pass already parsed)."""
+    return run_pass("contracts", ContractsModel, paths, config, options)
 
 
 # Importing the rule pack registers every contracts-* rule; it lives at

@@ -37,10 +37,13 @@ resolved dotted name; the effect layer pattern-matches those.
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.source_rules import ParsedSource, iter_python_files, parse_source
 
 #: Module-level constructor calls that produce immutable values — bindings
@@ -64,7 +67,8 @@ def module_name_for(path: Path) -> str:
     ``.../src/repro/core/ldrg.py`` → ``repro.core.ldrg``. The *last*
     directory named ``repro`` anchors the package, so test fixtures laid
     out as ``tmp/src/repro/...`` resolve exactly like the real tree.
-    Files outside any ``repro`` directory fall back to their stem.
+    Files outside any ``repro`` directory fall back to their stem
+    (:func:`build_project` renames files whose names collide).
     """
     parts = list(path.parts)
     stem_parts = parts[:-1] + [path.stem]
@@ -154,14 +158,27 @@ class ProjectModel:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.globals: dict[str, GlobalInfo] = {}
-        #: files that failed to parse: path → (lineno, message).
-        self.parse_errors: dict[Path, tuple[int | None, str]] = {}
+        #: every input file in argument order, as the source pass sees it:
+        #: parsed, or the syntax-error diagnostic it produced.
+        self.sources: list[ParsedSource | Diagnostic] = []
+        #: files that failed to parse: path → syntax-error diagnostic.
+        self.parse_errors: dict[Path, Diagnostic] = {}
+        self._by_path: dict[Path, ModuleInfo] = {}
 
     def add_module(self, info: ModuleInfo) -> None:
         self.modules[info.name] = info
+        self._by_path[info.path] = info
         self.functions.update(info.functions)
         self.classes.update(info.classes)
         self.globals.update(info.globals)
+
+    @cached_property
+    def call_graph(self) -> CallGraph:
+        """The call graph every pass shares, built on first use."""
+        return CallGraph(self)
+
+    def module_at(self, path: str | Path) -> ModuleInfo | None:
+        return self._by_path.get(Path(path))
 
     def function(self, qualname: str) -> FunctionInfo | None:
         return self.functions.get(qualname)
@@ -273,20 +290,47 @@ def _module_symbols(info: ModuleInfo) -> None:
                                    and _is_contextvar_value(value)))
 
 
+def _module_names(files: list[Path]) -> dict[Path, str]:
+    """Dotted module name of every file; distinct files never share one.
+
+    Files that :func:`module_name_for` maps to one name (``a/util.py``
+    and ``b/util.py`` outside any ``repro`` package) are each named by
+    the shortest dotted suffix of their path that tells them apart, so
+    no file shadows another whatever the argument order.
+    """
+    groups: dict[str, set[Path]] = {}
+    for path in files:
+        groups.setdefault(module_name_for(path), set()).add(
+            Path(os.path.abspath(path)))
+    renamed: dict[Path, str] = {}
+    for group in groups.values():
+        if len(group) > 1:
+            depth = 1
+            while len({p.with_suffix("").parts[-depth:]
+                       for p in group}) < len(group):
+                depth += 1
+            renamed.update({p: ".".join(p.with_suffix("").parts[-depth:])
+                            for p in group})
+    return {path: renamed.get(Path(os.path.abspath(path)),
+                              module_name_for(path)) for path in files}
+
+
 def build_project(paths: Iterable[str | Path]) -> ProjectModel:
     """Parse every Python file under ``paths`` into a project model."""
     project = ProjectModel()
-    for file_path in iter_python_files(paths):
+    files = list(iter_python_files(paths))
+    names = _module_names(files)
+    for file_path in files:
         parsed = parse_source(file_path)
+        project.sources.append(parsed)
         if isinstance(parsed, ParsedSource):
-            info = ModuleInfo(name=module_name_for(Path(file_path)),
-                              path=Path(file_path), source=parsed)
+            info = ModuleInfo(name=names[file_path], path=Path(file_path),
+                              source=parsed)
             info.imports = _collect_imports(parsed.tree)
             _module_symbols(info)
             project.add_module(info)
-        else:  # a syntax-error Diagnostic
-            project.parse_errors[Path(file_path)] = (
-                parsed.location.line, parsed.message)
+        else:
+            project.parse_errors[Path(file_path)] = parsed
     return project
 
 
@@ -424,19 +468,6 @@ class CallGraph:
 
         return resolve, resolve_class, resolve_external
 
-    def resolver_for(self, qualname: str):
-        """The function resolver closure for one project function.
-
-        Used by rule code that must resolve names at specific call sites
-        (``PoolTask(fn=run_trial)`` worker-entry detection). Returns
-        ``None`` for unknown qualnames.
-        """
-        fn = self.project.functions.get(qualname)
-        if fn is None:
-            return None
-        resolve, _, _ = self._resolver(fn)
-        return resolve
-
     def _analyze_function(self, fn: FunctionInfo) -> None:
         resolve, resolve_class, resolve_external = self._resolver(fn)
         edges: set[str] = set()
@@ -541,6 +572,34 @@ class CallGraph:
             handler_node=handler_node, lineno=node.lineno, path=fn.path))
 
     # -- queries --
+
+    @cached_property
+    def pool_entries(self) -> frozenset[str]:
+        """Worker trial functions, found at ``PoolTask(fn=...)`` sites."""
+        entries: set[str] = set()
+        for fn in self.project.functions.values():
+            resolve, _, _ = self._resolver(fn)
+            for node in ast.walk(fn.node):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = _dotted_name(node.func)
+                if callee is None or callee[-1] != "PoolTask":
+                    continue
+                fn_arg: ast.expr | None = None
+                for keyword in node.keywords:
+                    if keyword.arg == "fn":
+                        fn_arg = keyword.value
+                if fn_arg is None and len(node.args) >= 2:
+                    fn_arg = node.args[1]
+                if fn_arg is None:
+                    continue
+                parts = _dotted_name(fn_arg)
+                if parts is None:
+                    continue
+                target = resolve(parts)
+                if target is not None:
+                    entries.add(target)
+        return frozenset(entries)
 
     def callees(self, qualname: str) -> set[str]:
         return self.edges.get(qualname, set())

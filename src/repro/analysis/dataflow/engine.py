@@ -18,29 +18,14 @@ fixture trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    LintConfig,
-    Location,
-    Severity,
-    registry,
-    sort_diagnostics,
-)
-from repro.analysis.dataflow.callgraph import (
-    CallGraph,
-    ModuleInfo,
-    ProjectModel,
-    build_project,
-)
-from repro.analysis.dataflow.effects import (
-    EFFECTS,
-    EffectAnalysis,
-    analyze_effects,
-)
+from repro.analysis.diagnostics import Diagnostic, LintConfig
+from repro.analysis.dataflow.callgraph import ProjectModel, build_project
+from repro.analysis.dataflow.effects import EFFECTS, analyze_effects
+from repro.analysis.passes import PassModel, run_pass
 
 
 @dataclass(frozen=True)
@@ -91,35 +76,21 @@ class DataflowOptions:
     config_fingerprint: str = "fingerprint_data"
 
 
-class DataflowModel:
+class DataflowModel(PassModel):
     """Everything a dataflow rule may consult, precomputed once."""
 
-    def __init__(self, project: ProjectModel, graph: CallGraph,
-                 effects: EffectAnalysis, options: DataflowOptions,
-                 entry_roots: tuple[str, ...],
-                 worker_roots: tuple[str, ...]):
-        self.project = project
-        self.graph = graph
-        self.effects = effects
-        self.options = options
-        self.entry_roots = entry_roots
-        self.worker_roots = worker_roots
+    def __init__(self, project: ProjectModel,
+                 options: DataflowOptions | None = None):
+        super().__init__(project)
+        self.options = opts = options or DataflowOptions()
+        self.effects = analyze_effects(project, self.graph)
+        self.entry_roots = tuple(sorted(discover_entries(project, opts)))
+        self.worker_roots = tuple(sorted(
+            set(opts.worker_entries) | self.graph.pool_entries))
         #: function → BFS parent, for everything entry-reachable.
-        self.entry_parents = graph.reachable_from(entry_roots)
+        self.entry_parents = self.graph.reachable_from(self.entry_roots)
         #: function → BFS parent, for everything worker-reachable.
-        self.worker_parents = graph.reachable_from(worker_roots)
-        self._module_by_path: dict[Path, ModuleInfo] = {
-            info.path: info for info in project.modules.values()}
-
-    def module_at(self, path: str | Path) -> ModuleInfo | None:
-        return self._module_by_path.get(Path(path))
-
-    def allows(self, rule_id: str, path: str | Path, lineno: int) -> bool:
-        """Whether an allow-pragma waives ``rule_id`` at this site."""
-        module = self.module_at(path)
-        if module is None:
-            return False
-        return module.source.allows(rule_id, lineno)
+        self.worker_parents = self.graph.reachable_from(self.worker_roots)
 
 
 def discover_entries(project: ProjectModel,
@@ -137,53 +108,16 @@ def build_dataflow_model(paths: Iterable[str | Path],
                          options: DataflowOptions | None = None
                          ) -> DataflowModel:
     """Parse, build the call graph, infer effects, compute reachability."""
-    from repro.analysis.dataflow.rules import detect_pool_entries
-
-    opts = options or DataflowOptions()
-    project = build_project(paths)
-    graph = CallGraph(project)
-    effects = analyze_effects(project, graph)
-    entry_roots = tuple(sorted(discover_entries(project, opts)))
-    worker_roots = tuple(sorted(
-        set(opts.worker_entries) | detect_pool_entries(project, graph)))
-    return DataflowModel(project=project, graph=graph, effects=effects,
-                         options=opts, entry_roots=entry_roots,
-                         worker_roots=worker_roots)
+    return DataflowModel(build_project(paths), options)
 
 
-def analyze_dataflow(paths: Iterable[str | Path],
+def analyze_dataflow(paths: Iterable[str | Path] | ProjectModel,
                      config: LintConfig | None = None,
                      options: DataflowOptions | None = None
                      ) -> list[Diagnostic]:
-    """Run every enabled dataflow rule over the tree under ``paths``.
-
-    Like :func:`lint_source`, the waiver audit runs *after* every other
-    rule so it can see which pragmas went unused; the audit's findings
-    are appended under the same config filtering.
-    """
-    from repro.analysis.dataflow.rules import WAIVER_AUDIT_RULE
-
-    model = build_dataflow_model(paths, options)
-    cfg = config or LintConfig()
-
-    out: list[Diagnostic] = []
-    for path, (lineno, message) in sorted(model.project.parse_errors.items()):
-        out.append(Diagnostic(
-            rule="source-syntax-error", severity=Severity.ERROR,
-            message=f"syntax error: {message}",
-            location=Location(file=str(path), line=lineno)))
-
-    main_cfg = LintConfig(
-        disabled=cfg.disabled | {WAIVER_AUDIT_RULE},
-        severity_overrides=cfg.severity_overrides)
-    out.extend(registry.run("dataflow", model, main_cfg))
-    if cfg.enabled(WAIVER_AUDIT_RULE):
-        audit = registry.get(WAIVER_AUDIT_RULE)
-        severity = cfg.severity_for(audit)
-        out.extend(replace(d, severity=severity) if d.severity != severity
-                   else d for d in audit.check(model))
-        sort_diagnostics(out)
-    return out
+    """Run every enabled dataflow rule over the tree under ``paths``
+    (or over a project another pass already parsed)."""
+    return run_pass("dataflow", DataflowModel, paths, config, options)
 
 
 def purity_report(model: DataflowModel,

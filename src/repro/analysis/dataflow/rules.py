@@ -23,7 +23,8 @@ from repro.analysis.diagnostics import (
     registry,
     rule,
 )
-from repro.analysis.dataflow.callgraph import FunctionInfo, _dotted_name
+from repro.analysis.passes import register_waiver_audit
+from repro.analysis.dataflow.callgraph import FunctionInfo
 from repro.analysis.dataflow.effects import (
     CONTEXTVAR_WRITE,
     ENV_READ,
@@ -512,57 +513,6 @@ def _check_config_fingerprint(model: "DataflowModel", r) -> Iterator[Diagnostic]
                  f"truly cannot affect outcomes)")
 
 
-#: The dataflow waiver audit; the engine runs it after every other rule.
-WAIVER_AUDIT_RULE = "dataflow-unused-waiver"
+#: The dataflow waiver audit; RuleRegistry.run runs it after every other rule.
+register_waiver_audit("dataflow")
 
-
-@rule(WAIVER_AUDIT_RULE, category="dataflow", severity=Severity.WARNING,
-      summary="a dataflow allow-pragma waives nothing",
-      rationale="a stale waiver hides the next real violation on its "
-                "line; dataflow waivers must each suppress a live "
-                "diagnostic and carry a justification")
-def check_unused_dataflow_waiver(model: "DataflowModel"
-                                 ) -> Iterator[Diagnostic]:
-    r = registry.get(WAIVER_AUDIT_RULE)
-    for module in model.project.modules.values():
-        for lineno, rule_id in module.source.waiver_lines():
-            if rule_id == "all" or rule_id not in registry:
-                continue  # unknown ids are the source pass's finding
-            if registry.get(rule_id).category != "dataflow":
-                continue
-            if (lineno, rule_id) not in module.source.used_waivers:
-                yield r.diagnostic(
-                    f"pragma waives {rule_id!r} but nothing here "
-                    f"violates it",
-                    location=Location(file=str(module.path), line=lineno),
-                    hint="delete the stale pragma (or fix the rule id)")
-
-
-def detect_pool_entries(model_project, graph) -> set[str]:
-    """Worker trial functions, found at ``PoolTask(fn=...)`` sites."""
-    entries: set[str] = set()
-    for qualname, fn in model_project.functions.items():
-        resolve = graph.resolver_for(qualname)
-        if resolve is None:
-            continue
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = _dotted_name(node.func)
-            if callee is None or callee[-1] != "PoolTask":
-                continue
-            fn_arg: ast.expr | None = None
-            for keyword in node.keywords:
-                if keyword.arg == "fn":
-                    fn_arg = keyword.value
-            if fn_arg is None and len(node.args) >= 2:
-                fn_arg = node.args[1]
-            if fn_arg is None:
-                continue
-            parts = _dotted_name(fn_arg)
-            if parts is None:
-                continue
-            target = resolve(parts)
-            if target is not None:
-                entries.add(target)
-    return entries

@@ -159,11 +159,13 @@ class RuleRegistry:
 
         Diagnostics come back sorted most-severe first, then by rule id,
         with each rule's severity replaced by the config's override (if
-        any).
+        any). The category's waiver audit, ``<category>-unused-waiver``,
+        runs after every other rule: it reads which pragmas they used.
         """
         cfg = config or LintConfig()
+        audit = f"{category}-unused-waiver"
         out: list[Diagnostic] = []
-        for rule in self.rules(category):
+        for rule in sorted(self.rules(category), key=lambda r: r.id == audit):
             if not cfg.enabled(rule.id):
                 continue
             severity = cfg.severity_for(rule)

@@ -9,24 +9,12 @@ fixpoints once; ``analyze_interlock`` feeds the resulting model to the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.dataflow.callgraph import (
-    CallGraph,
-    ModuleInfo,
-    ProjectModel,
-    build_project,
-)
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    LintConfig,
-    Location,
-    Severity,
-    registry,
-    sort_diagnostics,
-)
+from repro.analysis.dataflow.callgraph import ProjectModel, build_project
+from repro.analysis.diagnostics import Diagnostic, LintConfig
 from repro.analysis.interlock.concurrency import (
     ConcurrencyTables,
     FunctionSummary,
@@ -43,6 +31,7 @@ from repro.analysis.interlock.durability import (
     durable_reachers,
     wal_seeds,
 )
+from repro.analysis.passes import PassModel, run_pass
 
 
 @dataclass(frozen=True)
@@ -68,14 +57,14 @@ class InterlockOptions:
     durable_write_calls: tuple[str, ...] = ("os.fsync", "os.fdatasync")
 
 
-class InterlockModel:
+class InterlockModel(PassModel):
     """Everything the interlock rules need, computed once."""
 
-    def __init__(self, project: ProjectModel, graph: CallGraph,
-                 options: InterlockOptions):
-        self.project = project
-        self.graph = graph
-        self.options = options
+    def __init__(self, project: ProjectModel,
+                 options: InterlockOptions | None = None):
+        super().__init__(project)
+        self.options = options = options or InterlockOptions()
+        graph = self.graph
         self.tables = ConcurrencyTables(project)
         self.summaries: dict[str, FunctionSummary] = {
             qualname: scan_function(self.tables, graph,
@@ -100,17 +89,6 @@ class InterlockModel:
         self.reply_issues: list[ReplyOrderingIssue] = check_reply_ordering(
             self.tables, graph, self.summaries, self.admit_closure,
             self.done_closure, options)
-        self._module_by_path = {module.path: module
-                                for module in project.modules.values()}
-
-    def module_at(self, path: str | Path) -> ModuleInfo | None:
-        return self._module_by_path.get(Path(path))
-
-    def allows(self, rule_id: str, path: str | Path, lineno: int) -> bool:
-        module = self.module_at(path)
-        if module is None:
-            return False
-        return module.source.allows(rule_id, lineno)
 
     def effective_lockset(self, qualname: str,
                           held: tuple[str, ...]) -> frozenset[str] | None:
@@ -129,44 +107,16 @@ def build_interlock_model(paths: Iterable[str | Path],
                           options: InterlockOptions | None = None
                           ) -> InterlockModel:
     """Parse, build the call graph, run the concurrency fixpoints."""
-    opts = options or InterlockOptions()
-    project = build_project(paths)
-    graph = CallGraph(project)
-    return InterlockModel(project=project, graph=graph, options=opts)
+    return InterlockModel(build_project(paths), options)
 
 
-def analyze_interlock(paths: Iterable[str | Path],
+def analyze_interlock(paths: Iterable[str | Path] | ProjectModel,
                       config: LintConfig | None = None,
                       options: InterlockOptions | None = None
                       ) -> list[Diagnostic]:
-    """Run every enabled interlock rule over the tree under ``paths``.
-
-    As in the other passes, the waiver audit runs after every other rule
-    so it can see which pragmas were consumed.
-    """
-    from repro.analysis.interlock.rules import WAIVER_AUDIT_RULE
-
-    model = build_interlock_model(paths, options)
-    cfg = config or LintConfig()
-
-    out: list[Diagnostic] = []
-    for path, (lineno, message) in sorted(model.project.parse_errors.items()):
-        out.append(Diagnostic(
-            rule="source-syntax-error", severity=Severity.ERROR,
-            message=f"syntax error: {message}",
-            location=Location(file=str(path), line=lineno)))
-
-    main_cfg = LintConfig(
-        disabled=cfg.disabled | {WAIVER_AUDIT_RULE},
-        severity_overrides=cfg.severity_overrides)
-    out.extend(registry.run("interlock", model, main_cfg))
-    if cfg.enabled(WAIVER_AUDIT_RULE):
-        audit = registry.get(WAIVER_AUDIT_RULE)
-        severity = cfg.severity_for(audit)
-        out.extend(replace(d, severity=severity) if d.severity != severity
-                   else d for d in audit.check(model))
-        sort_diagnostics(out)
-    return out
+    """Run every enabled interlock rule over the tree under ``paths``
+    (or over a project another pass already parsed)."""
+    return run_pass("interlock", InterlockModel, paths, config, options)
 
 
 # Importing the rule pack registers every interlock-* rule; it lives at

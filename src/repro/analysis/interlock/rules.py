@@ -24,6 +24,7 @@ from repro.analysis.diagnostics import (
     registry,
     rule,
 )
+from repro.analysis.passes import register_waiver_audit
 from repro.analysis.dataflow.callgraph import FunctionInfo, SignalRegistration
 from repro.analysis.interlock.concurrency import (
     FunctionResolver,
@@ -432,28 +433,5 @@ def check_daemon_thread_durable_io(model: "InterlockModel"
                  "are recoverable")
 
 
-#: The interlock waiver audit; the engine runs it after every other rule.
-WAIVER_AUDIT_RULE = "interlock-unused-waiver"
-
-
-@rule(WAIVER_AUDIT_RULE, category="interlock", severity=Severity.WARNING,
-      summary="an interlock allow-pragma waives nothing",
-      rationale="a stale waiver hides the next real violation on its "
-                "line; interlock waivers must each suppress a live "
-                "diagnostic and carry a justification")
-def check_unused_interlock_waiver(model: "InterlockModel"
-                                  ) -> Iterator[Diagnostic]:
-    r = registry.get(WAIVER_AUDIT_RULE)
-    for name in sorted(model.project.modules):
-        module = model.project.modules[name]
-        for lineno, rule_id in module.source.waiver_lines():
-            if rule_id == "all" or rule_id not in registry:
-                continue  # unknown ids are the source pass's finding
-            if registry.get(rule_id).category != "interlock":
-                continue
-            if (lineno, rule_id) not in module.source.used_waivers:
-                yield r.diagnostic(
-                    f"pragma waives {rule_id!r} but nothing here "
-                    f"violates it",
-                    location=Location(file=str(module.path), line=lineno),
-                    hint="delete the stale pragma (or fix the rule id)")
+#: The interlock waiver audit; RuleRegistry.run runs it after every other rule.
+register_waiver_audit("interlock")

@@ -10,7 +10,7 @@ annotate diagnostics onto pull-request diffs.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.analysis.diagnostics import Diagnostic, Severity, registry
 
@@ -116,3 +116,8 @@ def render_sarif(diagnostics: Iterable[Diagnostic],
             "results": results,
         }],
     }, indent=2)
+
+
+#: ``--format`` name → renderer, for both lint entry points.
+RENDERERS: dict[str, Callable[[Iterable[Diagnostic]], str]] = {
+    "text": render_text, "json": render_json, "sarif": render_sarif}

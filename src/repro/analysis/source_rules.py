@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -36,8 +36,10 @@ from repro.analysis.diagnostics import (
     Severity,
     registry,
     rule,
-    sort_diagnostics,
 )
+
+if TYPE_CHECKING:
+    from repro.analysis.dataflow.callgraph import ProjectModel
 
 #: Attribute names treated as plane coordinates.
 COORDINATE_ATTRS = frozenset({"x", "y"})
@@ -287,8 +289,8 @@ def check_invariant_assert(source: ParsedSource) -> Iterator[Diagnostic]:
                  "every interpreter mode (python -O included)")
 
 
-#: The waiver-audit rule id; it must run *after* every other rule of its
-#: pass so the used-waiver bookkeeping is complete (see lint_source).
+#: The waiver-audit rule id; :meth:`RuleRegistry.run` runs it *after*
+#: every other rule of its pass, so the used-waiver bookkeeping is complete.
 WAIVER_AUDIT_RULE = "source-unused-waiver"
 
 
@@ -337,27 +339,11 @@ def parse_source(path: str | Path) -> ParsedSource | Diagnostic:
 
 def lint_source(path: str | Path,
                 config: LintConfig | None = None) -> list[Diagnostic]:
-    """Run every enabled source rule against one Python file.
-
-    The waiver audit runs last, explicitly: it inspects which pragmas the
-    other rules consumed, so it must never run before them regardless of
-    what rule-id sort order would say.
-    """
+    """Run every enabled source rule against one Python file."""
     parsed = parse_source(path)
     if isinstance(parsed, Diagnostic):
         return [parsed]
-    cfg = config or LintConfig()
-    main_cfg = LintConfig(
-        disabled=cfg.disabled | {WAIVER_AUDIT_RULE},
-        severity_overrides=cfg.severity_overrides)
-    out = registry.run("source", parsed, main_cfg)
-    if cfg.enabled(WAIVER_AUDIT_RULE):
-        audit = registry.get(WAIVER_AUDIT_RULE)
-        severity = cfg.severity_for(audit)
-        out.extend(replace(d, severity=severity) if d.severity != severity
-                   else d for d in audit.check(parsed))
-        sort_diagnostics(out)
-    return out
+    return registry.run("source", parsed, config)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -373,10 +359,19 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield p
 
 
-def lint_source_tree(paths: Iterable[str | Path],
+def lint_source_tree(paths: Iterable[str | Path] | ProjectModel,
                      config: LintConfig | None = None) -> list[Diagnostic]:
-    """Lint every Python file under ``paths`` (files or directories)."""
+    """Lint every Python file under ``paths`` (files or directories), or
+    every file of a project another pass already parsed."""
+    # Imported here: the project model's module imports this one.
+    from repro.analysis.dataflow.callgraph import ProjectModel, build_project
+
+    project = (paths if isinstance(paths, ProjectModel)
+               else build_project(paths))
     out: list[Diagnostic] = []
-    for file_path in iter_python_files(paths):
-        out.extend(lint_source(file_path, config))
+    for parsed in project.sources:
+        if isinstance(parsed, Diagnostic):
+            out.append(parsed)
+        else:
+            out.extend(registry.run("source", parsed, config))
     return out

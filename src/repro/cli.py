@@ -41,8 +41,6 @@ from repro.analysis import (
     LintConfig,
     lint_graph,
     lint_routing_rc,
-    render_json,
-    render_text,
 )
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -50,6 +48,8 @@ from repro.analysis.diagnostics import (
     Severity,
     has_errors,
 )
+from repro.analysis.passes import PASSES, load_passes
+from repro.analysis.reporters import RENDERERS
 from repro.core.ert import ert, ert_ldrg
 from repro.core.heuristics import h1, h2, h3
 from repro.core.ldrg import ldrg
@@ -293,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "interlock: source files or directories, "
                            "default src/repro)")
     lint.add_argument("--pass", dest="lint_pass",
-                      choices=("data", "source", "dataflow", "contracts",
-                               "interlock", "all"),
+                      choices=("data", *PASSES, "all"),
                       default="data",
                       help="what to lint: routing/RC data files (data, "
                            "the default), per-file AST rules (source), "
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "the thread/lock/signal & durability "
                            "analyzer (interlock), or every code pass "
                            "(all)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("--format", choices=tuple(RENDERERS),
                       default="text",
                       help="report format (default: text)")
     lint.add_argument("--disable", action="append", default=[],
@@ -694,23 +693,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     ``--pass data`` (the default) checks routing JSON and net files;
     ``--pass source``/``dataflow``/``contracts``/``interlock``/``all``
-    runs the code passes of :mod:`repro.analysis` over source paths
-    instead. Exit status: 0 clean (warnings allowed), 1 when any
-    error-severity diagnostic fires, 2 on usage errors.
+    (and ``--list-rules``) forward to ``python -m repro.analysis``,
+    which runs the code passes over source paths instead. Exit status:
+    0 clean (warnings allowed), 1 when any error-severity diagnostic
+    fires, 2 on usage errors.
     """
-    # Registers the dataflow-*/contracts-*/interlock-* rules so
-    # --disable and --list-rules see them.
-    from repro.analysis.contracts.engine import analyze_contracts
-    from repro.analysis.dataflow.engine import analyze_dataflow
-    from repro.analysis.interlock.engine import analyze_interlock
-    from repro.analysis.reporters import render_sarif
-    from repro.analysis.source_rules import lint_source_tree
+    if args.list_rules or args.lint_pass != "data":
+        from repro.analysis.__main__ import main as analysis_main
 
-    if args.list_rules:
-        from repro.analysis.__main__ import list_rules
+        sub_argv = ["--format", args.format]
+        if args.lint_pass != "data":
+            sub_argv += ["--pass", args.lint_pass]
+        for rule_id in args.disable:
+            sub_argv += ["--disable", rule_id]
+        for spec in args.severity:
+            sub_argv += ["--severity", spec]
+        if args.list_rules:
+            sub_argv.append("--list-rules")
+        return analysis_main([*sub_argv, "--", *map(str, args.inputs)])
 
-        print(list_rules())
-        return 0
+    load_passes()  # registers the code rules, so --disable accepts their ids
     try:
         config = LintConfig.from_options(disable=args.disable,
                                          severity=args.severity)
@@ -718,42 +720,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if not args.inputs:
+        print("error: no input files (give routing .json or .nets "
+              "files)", file=sys.stderr)
+        return 2
+    tech = Technology.cmos08()
     diagnostics: list[Diagnostic] = []
-    if args.lint_pass == "data":
-        if not args.inputs:
-            print("error: no input files (give routing .json or .nets "
-                  "files)", file=sys.stderr)
+    for path in args.inputs:
+        if not path.exists():
+            print(f"error: no such file: {path}", file=sys.stderr)
             return 2
-        tech = Technology.cmos08()
-        for path in args.inputs:
-            if not path.exists():
-                print(f"error: no such file: {path}", file=sys.stderr)
-                return 2
-            if path.suffix == ".json":
-                diagnostics.extend(_lint_routing_file(
-                    path, tech, config, with_rc=not args.no_rc,
-                    segments=args.segments))
-            else:
-                diagnostics.extend(_lint_nets_file(path))
-    else:
-        paths = args.inputs or [Path("src/repro")]
-        missing = [p for p in paths if not p.exists()]
-        if missing:
-            print(f"error: no such path(s): "
-                  f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
-            return 2
-        if args.lint_pass in ("source", "all"):
-            diagnostics.extend(lint_source_tree(paths, config))
-        if args.lint_pass in ("dataflow", "all"):
-            diagnostics.extend(analyze_dataflow(paths, config))
-        if args.lint_pass in ("contracts", "all"):
-            diagnostics.extend(analyze_contracts(paths, config))
-        if args.lint_pass in ("interlock", "all"):
-            diagnostics.extend(analyze_interlock(paths, config))
+        if path.suffix == ".json":
+            diagnostics.extend(_lint_routing_file(
+                path, tech, config, with_rc=not args.no_rc,
+                segments=args.segments))
+        else:
+            diagnostics.extend(_lint_nets_file(path))
 
-    render = {"json": render_json, "sarif": render_sarif,
-              "text": render_text}[args.format]
-    print(render(diagnostics))
+    print(RENDERERS[args.format](diagnostics))
     return 1 if has_errors(diagnostics) else 0
 
 
