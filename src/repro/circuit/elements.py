@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+import numpy as np
+
 from repro.circuit.waveform import DC, Waveform
 
 Node = str
@@ -79,6 +81,9 @@ class VoltageSource:
     def value(self, t: float) -> float:
         return self.waveform.value(t)  # type: ignore[union-attr]
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return self.waveform.values(times)  # type: ignore[union-attr]
+
 
 @dataclass(frozen=True)
 class CurrentSource:
@@ -96,6 +101,9 @@ class CurrentSource:
 
     def value(self, t: float) -> float:
         return self.waveform.value(t)  # type: ignore[union-attr]
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return self.waveform.values(times)  # type: ignore[union-attr]
 
 
 Element = Union[Resistor, Capacitor, Inductor, VoltageSource, CurrentSource]

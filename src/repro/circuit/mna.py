@@ -55,11 +55,16 @@ class MNASystem:
 
     def rhs(self, t: float) -> np.ndarray:
         """The excitation vector ``u(t)``."""
-        u = np.zeros(self.size)
+        return self.excitation(np.array([t], dtype=float))[:, 0]
+
+    def excitation(self, times: np.ndarray) -> np.ndarray:
+        """The excitation over a time grid: column ``k`` is ``u(times[k])``."""
+        times = np.asarray(times, dtype=float)
+        u = np.zeros((self.size, times.size))
         for source in self.circuit.voltage_sources():
-            u[self.branch_index[source.name]] = source.value(t)
+            u[self.branch_index[source.name]] = source.values(times)
         for source in self.circuit.current_sources():
-            current = source.value(t)
+            current = source.values(times)
             pos = self.node_index.get(source.pos)
             neg = self.node_index.get(source.neg)
             # Positive source current leaves `pos` and is injected into `neg`.

@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq
 
 from repro.circuit.dcop import GMIN
 from repro.circuit.mna import build_mna
@@ -122,6 +121,9 @@ def _crossing(p1: float, p2: float, k1: float, k2: float,
             k = int(above[0])
             if k == 0:
                 return 0.0
+            # Imported here: scipy.optimize costs about a quarter of a
+            # second, and only this root-find needs it.
+            from scipy.optimize import brentq
             return float(brentq(lambda t: value(t) - fraction,
                                 grid[k - 1], grid[k]))
         horizon *= 2.0

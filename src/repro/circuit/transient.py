@@ -20,19 +20,42 @@ stable on them — an initial state inconsistent with ``u(0)`` (e.g. the
 zero state under an already-high step) would otherwise ring undamped
 forever. One L-stable step kills the inconsistency at O(h²) total cost,
 preserving the method's 2nd-order convergence.
+
+Every later step uses the same matrices, so the recurrence is
+time-invariant: ``x₊ = P·x + q₊`` with the propagator ``P = A⁻¹B``
+(trapezoidal: ``A = C/h + G/2``, ``B = C/h − G/2``; backward Euler:
+``A = C/h + G``, ``B = C/h``) and the drive ``q₊ = A⁻¹·½(u₊ + u)``
+(backward Euler: ``A⁻¹u₊``). ``P`` is formed once with one multi-column
+solve; the drive is formed a block of :data:`BLOCK_STEPS` steps at a time,
+also with one multi-column solve over the block's excitation, so the
+per-step work is one small matrix–vector product. Each finished block is
+checked for non-finite states: an unstable system raises a
+:class:`~repro.guard.incidents.NumericalIncident` rather than returning
+NaN.
+
+Optionally the integration stops early: given node → level thresholds,
+it stops at the end of the first block in which every listed node has
+reached its level. The samples up to that point are exactly those of the
+full window, so a threshold crossing measured on the shortened result
+equals the one measured on the full result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
+from repro.guard.incidents import NumericalIncident
 from repro.guard.numerics import GuardedFactorization
 
 from repro.circuit.mna import MNASystem, build_mna
 from repro.circuit.netlist import Circuit, CircuitError
 
 _METHODS = ("trapezoidal", "backward-euler")
+
+#: Steps propagated between non-finite checks and early-exit tests.
+BLOCK_STEPS = 64
 
 
 @dataclass
@@ -66,7 +89,9 @@ class TransientResult:
 
 def transient(circuit: Circuit, t_stop: float, num_steps: int = 1000,
               method: str = "trapezoidal",
-              x0: np.ndarray | None = None) -> TransientResult:
+              x0: np.ndarray | None = None, *,
+              stop_levels: Mapping[str, float] | None = None,
+              ) -> TransientResult:
     """Simulate ``circuit`` from 0 to ``t_stop`` with a fixed step.
 
     Args:
@@ -77,6 +102,14 @@ def transient(circuit: Circuit, t_stop: float, num_steps: int = 1000,
         method: ``"trapezoidal"`` (default) or ``"backward-euler"``.
         x0: optional initial state; defaults to the circuit's declared
             initial conditions (zero for quiescent interconnect).
+        stop_levels: optional node label → voltage level. Integration
+            stops at the end of the first block of :data:`BLOCK_STEPS`
+            steps in which every listed node has been at or above its
+            level, and the result holds only the timepoints simulated.
+
+    Raises:
+        NumericalIncident: a singular or ill-conditioned integration
+            matrix, a non-finite source value, or states that blow up.
     """
     if t_stop <= 0:
         raise ValueError("t_stop must be positive")
@@ -87,11 +120,12 @@ def transient(circuit: Circuit, t_stop: float, num_steps: int = 1000,
     mna = build_mna(circuit)
     h = t_stop / num_steps
     times = np.linspace(0.0, t_stop, num_steps + 1)
-    states = np.empty((mna.size, num_steps + 1))
     x = mna.initial_state() if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (mna.size,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({mna.size},)")
-    states[:, 0] = x
+    levels = dict(stop_levels or {})
+    watch = [mna.voltage_row(node) for node in levels]
+    thresholds = np.array(list(levels.values()), dtype=float)
 
     C_h = mna.C / h
     # Conditioned LU factorizations: a singular integration matrix (bad
@@ -100,19 +134,44 @@ def transient(circuit: Circuit, t_stop: float, num_steps: int = 1000,
     fact_be = GuardedFactorization(
         C_h + mna.G, spd=False, context=f"transient-be[n={mna.size},h={h:g}]")
     if method == "trapezoidal":
-        fact_trap = GuardedFactorization(
+        fact = GuardedFactorization(
             C_h + mna.G / 2.0, spd=False,
             context=f"transient-trap[n={mna.size},h={h:g}]")
-        rhs_trap = C_h - mna.G / 2.0
-    u_prev = mna.rhs(times[0])
-    for k in range(1, num_steps + 1):
-        u_next = mna.rhs(times[k])
-        if method == "trapezoidal" and k > 1:
-            x = fact_trap.solve(rhs_trap @ x + 0.5 * (u_next + u_prev))
-        else:
-            # Backward Euler: every step of the BE method, and the damped
-            # startup step of the trapezoidal method.
-            x = fact_be.solve(C_h @ x + u_next)
-        states[:, k] = x
-        u_prev = u_next
-    return TransientResult(times=times, states=states, mna=mna, method=method)
+        propagator = fact.solve(C_h - mna.G / 2.0)
+    else:
+        fact = fact_be
+        propagator = fact.solve(C_h)
+
+    # rows[k] is the state at times[k]; transposed into states at the end.
+    rows = np.empty((num_steps + 1, mna.size))
+    rows[0] = x
+    # Backward-Euler first step: the damped start of the trapezoidal
+    # method, and the first step of the backward-Euler method.
+    rows[1] = fact_be.solve(C_h @ x + mna.rhs(times[1]))
+    reached = (rows[:2, watch] >= thresholds).any(axis=0)
+    k = 1
+    # A blow-up surfaces as the NumericalIncident below, not as numpy
+    # overflow warnings from the steps that produced it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < num_steps and not (watch and reached.all()):
+            stop = min(k + BLOCK_STEPS, num_steps)
+            u = mna.excitation(times[k:stop + 1])
+            if method == "trapezoidal":
+                drive = 0.5 * (u[:, 1:] + u[:, :-1])
+            else:
+                drive = u[:, 1:]
+            block = rows[k + 1:stop + 1]
+            block[:] = fact.solve(drive).T
+            x = rows[k]
+            for row in block:
+                row += propagator @ x
+                x = row
+            if not np.isfinite(block).all():
+                raise NumericalIncident(
+                    f"transient states became non-finite by t={times[stop]:g}s "
+                    "(unstable system)", fact.fingerprint())
+            reached |= (block[:, watch] >= thresholds).any(axis=0)
+            k = stop
+    return TransientResult(times=times[:k + 1],
+                           states=np.ascontiguousarray(rows[:k + 1].T),
+                           mna=mna, method=method)

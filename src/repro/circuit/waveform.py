@@ -2,6 +2,11 @@
 
 A waveform maps time (seconds) to a value (volts or amps). Sources hold a
 waveform; the MNA right-hand side samples it at each timepoint.
+
+Each waveform samples a whole time grid at once with ``values(times)``,
+which is bitwise equal to ``[value(t) for t in times]``: the array form
+performs the same floating-point operations in the same order, so a
+transient driven from either gives identical states.
 """
 
 from __future__ import annotations
@@ -14,10 +19,14 @@ import numpy as np
 
 @runtime_checkable
 class Waveform(Protocol):
-    """Anything with ``value(t)`` and ``final_value()`` is a waveform."""
+    """Anything with ``value(t)``, ``values(times)`` and ``final_value()``."""
 
     def value(self, t: float) -> float:
         """Waveform value at time ``t`` (t < 0 is clamped to t = 0)."""
+        ...
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        """``value`` at every entry of ``times``, as a float array."""
         ...
 
     def final_value(self) -> float:
@@ -33,6 +42,9 @@ class DC:
 
     def value(self, t: float) -> float:
         return self.level
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(times), self.level, dtype=float)
 
     def final_value(self) -> float:
         return self.level
@@ -69,6 +81,15 @@ class Step:
             frac = (t - self.delay) / self.rise
             return self.v0 + frac * (self.v1 - self.v0)
         return self.v1
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        out = np.where(t < self.delay, float(self.v0), float(self.v1))
+        if self.rise > 0:
+            ramp = (t >= self.delay) & (t < self.delay + self.rise)
+            frac = (t[ramp] - self.delay) / self.rise
+            out[ramp] = self.v0 + frac * (self.v1 - self.v0)
+        return out
 
     def final_value(self) -> float:
         return self.v1
@@ -113,6 +134,30 @@ class Pulse:
             return self.v1 + (self.v0 - self.v1) * (local / self.fall if self.fall else 1.0)
         return self.v0
 
+    def values(self, times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        out = np.full(t.shape, float(self.v0))
+        active = t >= self.delay
+        local = t[active] - self.delay
+        if self.period > 0:
+            local = local % self.period
+            local[self.period - local < 1e-9 * self.period] = 0.0
+        level = np.full(local.shape, float(self.v0))
+        rising = local < self.rise
+        if self.rise:
+            level[rising] = (self.v0 + (self.v1 - self.v0)
+                             * (local[rising] / self.rise))
+        local = local - self.rise
+        high = ~rising & (local < self.width)
+        level[high] = self.v1
+        local = local - self.width
+        falling = ~rising & ~high & (local < self.fall)
+        if self.fall:
+            level[falling] = (self.v1 + (self.v0 - self.v1)
+                              * (local[falling] / self.fall))
+        out[active] = level
+        return out
+
     def final_value(self) -> float:
         # A periodic pulse has no DC asymptote; SPICE treats its DC value
         # as v0, and so do we (used only for operating-point seeding).
@@ -133,6 +178,10 @@ class PWL:
 
     def value(self, t: float) -> float:
         return float(np.interp(t, self._times, self._values))
+
+    def values(self, times: np.ndarray) -> np.ndarray:
+        return np.interp(np.asarray(times, dtype=float), self._times,
+                         self._values)
 
     def final_value(self) -> float:
         return float(self._values[-1])

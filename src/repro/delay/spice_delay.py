@@ -119,23 +119,26 @@ def _transient_delays(graph: RoutingGraph, tech: Technology,
     rc_system = build_reduced_rc(graph, tech, segments=1, widths=widths)
     elmore = rc_system.elmore()
     t_stop = _HORIZON_FACTOR * max(float(max(elmore)), 1e-15)
-    for _ in range(_MAX_EXTENSIONS):
+    final = 1.0  # unit step; RC(L) nets settle to the source level
+    sinks = list(graph.sink_indices())
+    # Stop integrating once every sink has crossed: the crossings read
+    # the same samples as the full window, so the delays are unchanged.
+    levels = {node_label(sink): opts.threshold * final for sink in sinks}
+    for attempt in range(_MAX_EXTENSIONS):
+        if attempt:
+            t_stop *= 2.0
         result = transient(circuit, t_stop=t_stop, num_steps=opts.num_steps,
-                           method=opts.method)
+                           method=opts.method, stop_levels=levels)
         delays: dict[int, float] = {}
-        complete = True
-        for sink in graph.sink_indices():
-            wave = result.voltage(node_label(sink))
-            final = 1.0  # unit step; RC(L) nets settle to the source level
-            crossing = threshold_crossing(result.times, wave,
+        for sink in sinks:
+            crossing = threshold_crossing(result.times,
+                                          result.voltage(node_label(sink)),
                                           opts.threshold * final)
             if crossing is None:
-                complete = False
                 break
             delays[sink] = crossing
-        if complete:
+        else:
             return delays
-        t_stop *= 2.0
     raise RuntimeError(
         f"transient window grew to {t_stop:.3g}s without all sinks crossing "
         f"{opts.threshold:.0%} — circuit may be mis-scaled")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit.mna import build_mna
 from repro.circuit.netlist import GROUND, Circuit, CircuitError
-from repro.circuit.waveform import Step
+from repro.circuit.waveform import PWL, Pulse, Step
 
 
 class TestResistorStamps:
@@ -98,6 +98,26 @@ class TestRhs:
         ckt.add_resistor("r1", "a", GROUND, 1.0)
         mna = build_mna(ckt)
         assert mna.rhs(0.0)[mna.node_index["a"]] == 2.0
+
+    def test_rhs_is_a_column_of_the_grid_excitation(self):
+        ckt = Circuit()
+        ckt.add_voltage_source("v1", "a", GROUND,
+                               Step(delay=1e-10, rise=2e-10))
+        ckt.add_voltage_source("v2", "c", GROUND,
+                               Pulse(0.0, 1.0, 5e-11, 1e-10, 1e-10, 2e-10,
+                                     6e-10))
+        ckt.add_current_source("i1", "a", "b",
+                               PWL([(0.0, 0.0), (4e-10, 3e-3)]))
+        ckt.add_current_source("i2", GROUND, "b", 1e-3)
+        ckt.add_resistor("r1", "a", "b", 1.0)
+        ckt.add_resistor("r2", "b", GROUND, 1.0)
+        ckt.add_resistor("r3", "c", GROUND, 1.0)
+        mna = build_mna(ckt)
+        times = np.linspace(0.0, 1e-9, 257)
+        grid = mna.excitation(times)
+        assert grid.shape == (mna.size, times.size)
+        for k, t in enumerate(times):
+            assert mna.rhs(t).tobytes() == grid[:, k].tobytes()
 
 
 class TestInitialState:

@@ -1,10 +1,14 @@
 """Unit tests for moment (AWE) analysis."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.circuit.moments import (
     elmore_from_moments,
     node_moments,
@@ -111,3 +115,17 @@ class TestTwoPoleDelay:
     def test_rejects_bad_fraction(self, fraction):
         with pytest.raises(ValueError, match="fraction"):
             two_pole_delay(np.array([1.0, -1e-9, 1e-18]), fraction=fraction)
+
+
+class TestLazyOptimizeImport:
+    def test_cli_and_daemon_do_not_import_scipy_optimize(self):
+        """``scipy.optimize`` costs about a quarter second of start-up;
+        only the two-pole root-find needs it, so it loads on first use."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        probe = ("import sys, repro.cli, repro.service.daemon; "
+                 "print(sorted(m for m in sys.modules"
+                 " if m.startswith('scipy.optimize')))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"

@@ -1,7 +1,10 @@
 """Unit tests for the SPICE-level delay oracle."""
 
+import importlib
+
 import pytest
 
+from repro.circuit.waveform import Step
 from repro.delay.elmore_graph import graph_elmore_delays
 from repro.delay.spice_delay import SpiceOptions, spice_delay, spice_delays
 from repro.geometry.net import Net
@@ -74,6 +77,35 @@ class TestEngineAgreement:
             engine="transient", segments=2, num_steps=4000))
         worst = max(analytic, key=analytic.get)
         assert numeric[worst] == pytest.approx(analytic[worst], rel=0.02)
+
+
+class TestTransientWindow:
+    def test_give_up_names_the_last_simulated_window(self, tech,
+                                                     monkeypatch):
+        """A sink that never crosses exhausts the extensions; the error
+        must name the largest window actually integrated."""
+        # The package re-exports a function named like the module.
+        oracle = importlib.import_module("repro.delay.spice_delay")
+        windows = []
+        real_transient = oracle.transient
+        real_build = oracle.build_interconnect_circuit
+
+        def recording(circuit, t_stop, **kwargs):
+            windows.append(t_stop)
+            return real_transient(circuit, t_stop, **kwargs)
+
+        def undriven(*args, **kwargs):
+            return real_build(*args, step=Step(v1=0.0), **kwargs)
+
+        monkeypatch.setattr(oracle, "transient", recording)
+        monkeypatch.setattr(oracle, "build_interconnect_circuit", undriven)
+        monkeypatch.setattr(oracle, "_MAX_EXTENSIONS", 3)
+        tree = prim_mst(Net.from_points([(0, 0), (5000, 0)]))
+        with pytest.raises(RuntimeError, match="without all sinks") as info:
+            spice_delays(tree, tech,
+                         SpiceOptions(engine="transient", num_steps=200))
+        assert windows == [windows[0], 2 * windows[0], 4 * windows[0]]
+        assert f"grew to {windows[-1]:.3g}s" in str(info.value)
 
 
 class TestAPI:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -29,12 +31,12 @@ PLAN = ServiceFaultPlan(seed=1994, kill_rate=0.05, malformed_rate=0.05,
                         storm_rate=0.05, chaos_rate=0.05)
 
 
-def spawn_daemon(*flags):
+def spawn_daemon(*flags, stderr=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH="src")
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", *flags],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, env=env)
+        stderr=stderr, text=True, env=env)
 
 
 def request_stream(count, duplicate_every=5):
@@ -79,20 +81,41 @@ class TestFaultMatrix:
         assert list((tmp_path / "cache").glob("result_*.json"))
 
     def test_sigterm_mid_stream_drains_cleanly(self, tmp_path):
-        lines = request_stream(60, duplicate_every=0)
-        proc = spawn_daemon("--fault-injection", "--queue-capacity", "512",
-                            "--drain-timeout", "5",
-                            "--cache-dir", str(tmp_path / "cache"))
-        assert proc.stdin is not None
+        lines = request_stream(120, duplicate_every=0)
+        err_path = tmp_path / "stderr.txt"
+        with err_path.open("w") as err_file:
+            proc = spawn_daemon("--fault-injection", "--queue-capacity", "512",
+                                "--drain-timeout", "5",
+                                "--cache-dir", str(tmp_path / "cache"),
+                                stderr=err_file)
+        assert proc.stdin is not None and proc.stdout is not None
         proc.stdin.write("\n".join(lines) + "\n")
         proc.stdin.flush()
-        time.sleep(1.0)
+        # Read replies on a thread so the signal can follow the first one:
+        # a reply proves the daemon is up and serving, where a fixed sleep
+        # raced its start-up.
+        replies: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in proc.stdout:
+                replies.put((time.monotonic(), line))
+            replies.put(None)
+
+        threading.Thread(target=pump, daemon=True).start()
+        first = replies.get(timeout=120)
+        assert first is not None  # progress was made before the signal
+        signalled = time.monotonic()
         proc.send_signal(signal.SIGTERM)
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0
+        proc.stdin.close()
+        assert proc.wait(timeout=120) == 0
+        received = [first]
+        while (reply := replies.get(timeout=10)) is not None:
+            received.append(reply)
+        err = err_path.read_text()
         assert "Traceback" not in err, err
-        responses = [json.loads(line) for line in out.splitlines()]
-        assert responses  # progress was made before the signal
+        # The signal landed with a backlog, so the drain had work to do.
+        assert any(at > signalled for at, _ in received)
+        responses = [json.loads(line) for _, line in received]
         for response in responses:
             assert response["status"] in ("ok", "error")
             if response["status"] == "error":
