@@ -15,10 +15,14 @@ dynamically on the paths CI cares about:
 2. shuffles the fleet and requires every member's delays to stay
    bitwise identical to the unshuffled run (batch position must not
    exist electrically);
-3. renders ``table 7`` through the CLI with and without ``--multinet``
+3. routes the fleet from Iterated 1-Steiner starts (``sldrg``) and
+   requires the sequential SLDRG's chosen edges and delays (≤ 1e-9
+   relative): Steiner starts carry the zero-length pseudo-short edges
+   the MST and ERT starts never have;
+4. renders ``table 7`` through the CLI with and without ``--multinet``
    and requires the ratio columns to agree (same trial nets, same
    chosen edges, only the throughput differs);
-4. runs the whole-program dataflow analyzer, which now covers
+5. runs the whole-program dataflow analyzer, which now covers
    ``repro.delay.multinet`` as an eval module, and requires a clean
    exit — a dynamic violation should always arrive with the static
    view, and vice versa.
@@ -42,9 +46,11 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.core.ldrg import ldrg  # noqa: E402
+from repro.core.sldrg import sldrg  # noqa: E402
 from repro.delay.multinet import route_fleet  # noqa: E402
 from repro.delay.parameters import Technology  # noqa: E402
 from repro.geometry.net import Net  # noqa: E402
+from repro.graph.steiner import iterated_one_steiner  # noqa: E402
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -101,6 +107,26 @@ def check_byte_identity(args: argparse.Namespace) -> None:
           f"batch-of-{args.fleet}, and shuffled fleets")
 
 
+def check_steiner_start(args: argparse.Namespace) -> None:
+    tech = Technology.cmos08()
+    nets = [Net.random(3 + (i % args.pins), seed=3000 + i, name=f"s{i}")
+            for i in range(args.fleet)]
+    sequential = [sldrg(net, tech, "elmore") for net in nets]
+    batched = route_fleet([iterated_one_steiner(net) for net in nets], tech,
+                          algorithm="sldrg")
+    for net, seq, bat in zip(nets, sequential, batched):
+        if sorted(seq.graph.edges()) != sorted(bat.graph.edges()):
+            fail(f"{net.name}: Steiner-start fleet chose different edges "
+                 f"than sequential SLDRG")
+        for sink, want in seq.delays.items():
+            rel = abs(want - bat.delays[sink]) / max(abs(want), 1e-30)
+            if rel > RELATIVE_TOLERANCE:
+                fail(f"{net.name} sink {sink}: Steiner-start fleet delay "
+                     f"off by {rel:.2e} relative")
+    print(f"multinet-smoke: {len(nets)} Steiner-start nets match "
+          f"sequential SLDRG")
+
+
 def check_cli_table(args: argparse.Namespace) -> None:
     base = [sys.executable, "-m", "repro", "table", "7",
             "--trials", "2", "--sizes", "5"]
@@ -133,6 +159,7 @@ def main() -> int:
                         help="size spread of the mixed fleet")
     args = parser.parse_args()
     check_byte_identity(args)
+    check_steiner_start(args)
     check_cli_table(args)
     check_analyzer()
     print("multinet-smoke: OK")

@@ -165,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "2/3/7; an ineligible table falls back to "
                             "the sequential driver with a recorded "
                             "provenance event — see docs/performance.md)")
-    table.add_argument("--backend", type=str, default="auto",
-                       choices=("auto", "numpy", "cupy"),
-                       help="array backend of the --multinet path")
 
     serve = sub.add_parser(
         "serve", help="run the routing daemon (JSON-lines protocol; see "
@@ -627,15 +624,7 @@ def _cmd_table_multinet(args: argparse.Namespace) -> int:
             "cannot be combined with --workers/--run-dir/--resume/"
             "--trial-timeout/--chaos (drop --multinet to use the "
             "journaling runtime)")
-    try:
-        table, batched = run_table_multinet(args.number,
-                                            _table_config(args),
-                                            backend=args.backend)
-    except RuntimeError as exc:
-        # resolve_backend raises RuntimeError for an unavailable
-        # accelerator backend (e.g. --backend cupy without CuPy); map it
-        # to the CLI's documented configuration exit code.
-        raise ConfigError(str(exc)) from exc
+    table, batched = run_table_multinet(args.number, _table_config(args))
     if not batched:
         print(f"note: table {args.number} has no fleet-batched form; "
               f"the sequential driver served this run (recorded as a "

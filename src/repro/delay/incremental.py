@@ -26,6 +26,15 @@ upgrade is the same update with ``g`` and ``γ`` replaced by the deltas
 between the two width levels, which is how the WSORG loop rides the
 same engine.
 
+**One engine for one net and for many.** :class:`ElmoreStack` holds a
+``(B, n, n)`` stack of inverses and scores candidates from any member
+through per-candidate owner indices. :class:`IncrementalElmoreEvaluator`
+is the stack of one, factored by the guarded, regularizing
+:class:`~repro.guard.numerics.GuardedFactorization`; the fleet router
+(:mod:`repro.delay.multinet`) stacks whole groups of nets behind one
+batched Cholesky. Both take every ``(g, c)`` from
+:func:`~repro.delay.rc_builder.pi_section`.
+
 Two further layers complete the subsystem:
 
 * a **fingerprint-keyed memo cache** (:class:`DelayMemo` /
@@ -50,6 +59,7 @@ from collections import OrderedDict
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.delay.models import (
     CandidateEdge,
@@ -60,16 +70,17 @@ from repro.delay.models import (
     reduce_delays,
 )
 from repro.delay.parameters import Technology
-from repro.delay.rc_builder import EdgeWidths, build_reduced_rc, edge_width
+from repro.delay.rc_builder import (
+    EdgeWidths,
+    build_reduced_rc,
+    edge_width,
+    pi_section,
+)
 from repro.graph.routing_graph import RoutingGraph
 from repro.guard.audit import ShadowAuditedEvaluator
 from repro.guard.incidents import KIND_FALLBACK, record_event
 from repro.guard.numerics import GuardedFactorization
 from repro.guard.policy import active_guard
-
-#: Conductance of a zero-length pseudo-short edge (1 µΩ, mirrors
-#: :func:`repro.delay.rc_builder.build_reduced_rc`).
-PSEUDO_SHORT_CONDUCTANCE = 1.0 / 1e-6
 
 #: Default capacity of the process-wide delay memo.
 DEFAULT_MEMO_CAPACITY = 8192
@@ -242,48 +253,110 @@ class NaiveCandidateEvaluator:
         return scores
 
 
-class _ElmoreBase:
-    """One greedy iteration's shared factorization of the base graph.
+def node_coordinates(graph: RoutingGraph, nodes: Sequence[int]) -> np.ndarray:
+    """``(n, 2)`` positions of ``nodes``, in system-row order."""
+    return np.array([graph.position(node).as_tuple() for node in nodes],
+                    dtype=float)
 
-    Holds the dense inverse of the base conductance matrix plus the base
-    delay vector; every candidate in the batch is then a closed-form
-    low-rank correction against these arrays.
+
+def addition_deltas(tech: Technology, lengths: ArrayLike
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """``(Δg, Δc)`` of adding unit-width edges of these lengths.
+
+    ``Δg`` is the edge's π-section conductance; ``Δc`` the capacitance it
+    adds at *each* endpoint (half the edge's total).
+    """
+    g, c = pi_section(tech, lengths)
+    return g, c / 2.0
+
+
+def width_deltas(tech: Technology, lengths: ArrayLike,
+                 old: ArrayLike, new: ArrayLike
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(Δg, Δc)`` of re-widthing edges from ``old`` to ``new``.
+
+    Zero-length pseudo-shorts come out as exact zeros: their conductance
+    and (empty) capacitance do not move with width. ``Δc`` takes the
+    per-µm difference before scaling by length, the rounding the sizing
+    loop has always scored with.
+    """
+    g_new, _ = pi_section(tech, lengths, new)
+    g_old, _ = pi_section(tech, lengths, old)
+    _, per_um_new = pi_section(tech, 1.0, new)
+    _, per_um_old = pi_section(tech, 1.0, old)
+    return (g_new - g_old,
+            (per_um_new - per_um_old) * np.asarray(lengths, dtype=float)
+            / 2.0)
+
+
+class ElmoreStack:
+    """Factored reduced RC systems of ``B`` same-shape graphs.
+
+    The base every Sherman–Morrison score is taken against: inverses
+    ``Ginv`` ``(B, n, n)``, DC node voltages ``v_inf = G⁻¹b`` and first
+    moments ``T0 = G⁻¹(c∘v∞)``, each ``(B, n)``, plus node positions
+    ``coords`` ``(B, n, 2)``. The members share node set and pin count,
+    so one row mapping (the sorted node ids, as
+    :func:`~repro.delay.rc_builder.build_reduced_rc` lays out one
+    π-section per edge) and one sink list serve them all. :meth:`guarded`
+    builds the single-net stack; :mod:`repro.delay.multinet` builds
+    fleet stacks from one batched Cholesky.
     """
 
-    def __init__(self, graph: RoutingGraph, tech: Technology,
-                 widths: EdgeWidths | None):
+    def __init__(self, Ginv: np.ndarray, v_inf: np.ndarray, T0: np.ndarray,
+                 nodes: Sequence[int], sinks: Sequence[int],
+                 coords: np.ndarray):
+        self.Ginv = Ginv
+        self.v_inf = v_inf
+        self.T0 = T0
+        #: node id → system row, for one-step fancy indexing
+        self.row_lookup = np.full(max(nodes) + 1, -1, dtype=np.intp)
+        self.row_lookup[np.asarray(nodes, dtype=np.intp)] = np.arange(
+            len(nodes))
+        self.sinks = list(sinks)
+        self.sink_rows = self.row_lookup[np.array(self.sinks, dtype=np.intp)]
+        self.coords = coords
+
+    @classmethod
+    def guarded(cls, graph: RoutingGraph, tech: Technology,
+                widths: EdgeWidths | None = None) -> "ElmoreStack":
+        """The stack of one: ``graph`` factored by the guarded ladder.
+
+        Conditioned Cholesky (the reduced G is SPD), not np.linalg.inv:
+        ill-conditioning is detected and either repaired or raised as a
+        structured NumericalIncident, never returned as garbage delays.
+        """
         system = build_reduced_rc(graph, tech, segments=1, widths=widths)
-        self.system = system
-        # Conditioned Cholesky factorization (the reduced G is SPD), not
-        # np.linalg.inv: ill-conditioning is detected and either repaired
-        # or raised as a structured NumericalIncident, never returned as
-        # garbage delays.
-        self.Ginv = GuardedFactorization(
+        Ginv = GuardedFactorization(
             system.G, spd=True,
             context=f"incremental-elmore-base[n={system.G.shape[0]}]",
         ).inverse()
-        self.v_inf = self.Ginv @ system.b
-        self.T0 = self.Ginv @ (system.c * self.v_inf)
-        self.sinks = list(graph.sink_indices())
-        self.sink_rows = np.array([system.row(sink) for sink in self.sinks],
-                                  dtype=np.intp)
+        v_inf = Ginv @ system.b
+        T0 = Ginv @ (system.c * v_inf)
+        return cls(Ginv[None], v_inf[None], T0[None], system.labels,
+                   graph.sink_indices(),
+                   node_coordinates(graph, system.labels)[None])
 
-    def row(self, node: int) -> int:
-        return self.system.row(node)
+    def delays(self, slot: int) -> dict[int, float]:
+        """Per-sink Elmore delays of member ``slot``: ``T0`` at the sinks."""
+        return dict(zip(self.sinks, self.T0[slot, self.sink_rows].tolist()))
 
-    def score(self, rows_u: np.ndarray, rows_v: np.ndarray,
-              delta_g: np.ndarray, delta_c: np.ndarray,
-              weights: Mapping[int, float] | None) -> list[float]:
-        """Objective after each ``(u, v, Δg, Δc)`` low-rank update.
+    def score(self, owner: np.ndarray, rows_u: np.ndarray,
+              rows_v: np.ndarray, delta_g: np.ndarray, delta_c: np.ndarray,
+              weights: Mapping[int, float] | None) -> np.ndarray:
+        """Objective after each ``(owner, u, v, Δg, Δc)`` low-rank update.
 
-        ``delta_g`` is the added conductance between rows ``u`` and
-        ``v``; ``delta_c`` is the capacitance added at *each* of the two
-        endpoints (the π-section half-capacitance, or its width delta).
+        ``owner[j]`` selects candidate ``j``'s member of the stack;
+        ``delta_g`` is the conductance added between rows ``u`` and ``v``
+        and ``delta_c`` the capacitance added at *each* endpoint. Every
+        operation is elementwise per candidate (plus a fixed-order
+        per-column sink reduction), so a score is bitwise independent of
+        which other candidates and members share the call.
         """
         Ginv = self.Ginv
-        guu = Ginv[rows_u, rows_u]
-        gvv = Ginv[rows_v, rows_v]
-        guv = Ginv[rows_u, rows_v]
+        guu = Ginv[owner, rows_u, rows_u]
+        gvv = Ginv[owner, rows_v, rows_v]
+        guv = Ginv[owner, rows_u, rows_v]
         # f = g / (1 + g·q) computed as 1/(1/g + q): no overflow for the
         # 1e6-conductance pseudo-short, exact zero for Δg = 0 upgrades.
         q = guu + gvv - 2.0 * guv
@@ -291,22 +364,44 @@ class _ElmoreBase:
         nonzero = delta_g != 0.0
         factor[nonzero] = 1.0 / (1.0 / delta_g[nonzero] + q[nonzero])
 
-        v_u = self.v_inf[rows_u]
-        v_v = self.v_inf[rows_v]
+        v_u = self.v_inf[owner, rows_u]
+        v_v = self.v_inf[owner, rows_v]
         # α = wᵀ G⁻¹ (c∘v∞ + Δc∘v∞): base part from T0, bump part from
         # the u/v columns of G⁻¹ (symmetry gives wᵀG⁻¹e_u = G⁻¹uu − G⁻¹uv).
-        alpha = (self.T0[rows_u] - self.T0[rows_v]
+        alpha = (self.T0[owner, rows_u] - self.T0[owner, rows_v]
                  + delta_c * (v_u * (guu - guv) + v_v * (guv - gvv)))
 
-        cols_u = Ginv[np.ix_(self.sink_rows, rows_u)]
-        cols_v = Ginv[np.ix_(self.sink_rows, rows_v)]
-        delays = (self.T0[self.sink_rows][:, None]
+        sinks = self.sink_rows[:, None]
+        cols_u = Ginv[owner, sinks, rows_u]
+        cols_v = Ginv[owner, sinks, rows_v]
+        delays = (self.T0[owner, sinks]
                   + delta_c * (v_u * cols_u + v_v * cols_v)
                   - (factor * alpha) * (cols_u - cols_v))
         if weights is None:
-            return [float(s) for s in delays.max(axis=0)]
+            return delays.max(axis=0)
         weight_vec = np.array([weights.get(sink, 0.0) for sink in self.sinks])
-        return [float(s) for s in weight_vec @ delays]
+        return weight_vec @ delays
+
+    def score_additions(self, batches: Sequence[Sequence[CandidateEdge]],
+                        tech: Technology,
+                        weights: Mapping[int, float] | None
+                        ) -> list[list[float]]:
+        """Scores of each member's candidate-edge batch, in one call."""
+        sizes = [len(batch) for batch in batches]
+        if not any(sizes):
+            return [[] for _ in batches]
+        owner = np.repeat(np.arange(len(batches), dtype=np.intp), sizes)
+        rows = self.row_lookup[np.concatenate(
+            [np.asarray(batch, dtype=np.intp).reshape(-1, 2)
+             for batch in batches])]
+        ends = self.coords[owner[:, None], rows]
+        delta = ends[:, 0] - ends[:, 1]
+        lengths = np.abs(delta[:, 0]) + np.abs(delta[:, 1])
+        delta_g, delta_c = addition_deltas(tech, lengths)
+        flat = self.score(owner, rows[:, 0], rows[:, 1], delta_g, delta_c,
+                          weights).tolist()
+        bounds = np.cumsum([0] + sizes).tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class IncrementalElmoreEvaluator:
@@ -316,6 +411,8 @@ class IncrementalElmoreEvaluator:
     floating-point noise (≤ 1e-9 relative, property-tested), at O(k) per
     candidate after one shared O(n³) factorization per call instead of
     O(n³) per candidate — no graph copies, no per-candidate RC assembly.
+    It is the fleet engine's scorer over a stack of one
+    (:meth:`ElmoreStack.guarded`).
     """
 
     def __init__(self, tech: Technology,
@@ -327,50 +424,25 @@ class IncrementalElmoreEvaluator:
                         candidates: Sequence[CandidateEdge]) -> list[float]:
         if not candidates:
             return []
-        base = _ElmoreBase(graph, self.tech, widths=None)
-        count = len(candidates)
-        rows_u = np.fromiter((base.row(u) for u, _ in candidates),
-                             dtype=np.intp, count=count)
-        rows_v = np.fromiter((base.row(v) for _, v in candidates),
-                             dtype=np.intp, count=count)
-        lengths = np.fromiter((graph.distance(u, v) for u, v in candidates),
-                              dtype=float, count=count)
-        resistance = self.tech.resistance_per_um(1.0)
-        capacitance = self.tech.capacitance_per_um(1.0)
-        positive = lengths > 0
-        delta_g = np.where(positive,
-                           1.0 / (resistance * np.where(positive, lengths, 1.0)),
-                           PSEUDO_SHORT_CONDUCTANCE)
-        delta_c = np.where(positive, capacitance * lengths / 2.0, 0.0)
-        return base.score(rows_u, rows_v, delta_g, delta_c, self.weights)
+        stack = ElmoreStack.guarded(graph, self.tech)
+        return stack.score_additions([candidates], self.tech,
+                                     self.weights)[0]
 
     def score_width_upgrades(self, graph: RoutingGraph,
                              widths: Mapping[tuple[int, int], float],
                              upgrades: Sequence[WidthUpgrade]) -> list[float]:
         if not upgrades:
             return []
-        base = _ElmoreBase(graph, self.tech, widths=widths)
-        rows_u, rows_v, delta_g, delta_c = [], [], [], []
-        for (u, v), new_width in upgrades:
-            length = graph.edge_length(u, v)
-            old_width = edge_width(widths, u, v)
-            rows_u.append(base.row(u))
-            rows_v.append(base.row(v))
-            if length > 0:
-                delta_g.append(
-                    1.0 / (self.tech.resistance_per_um(new_width) * length)
-                    - 1.0 / (self.tech.resistance_per_um(old_width) * length))
-                delta_c.append(
-                    (self.tech.capacitance_per_um(new_width)
-                     - self.tech.capacitance_per_um(old_width)) * length / 2.0)
-            else:
-                # Zero-length pseudo-shorts are width-independent: the 1 µΩ
-                # conductance and zero capacitance do not move with width.
-                delta_g.append(0.0)
-                delta_c.append(0.0)
-        return base.score(np.array(rows_u, dtype=np.intp),
-                          np.array(rows_v, dtype=np.intp),
-                          np.array(delta_g), np.array(delta_c), self.weights)
+        stack = ElmoreStack.guarded(graph, self.tech, widths=widths)
+        rows = stack.row_lookup[np.array([edge for edge, _ in upgrades],
+                                         dtype=np.intp)]
+        lengths = [graph.edge_length(u, v) for (u, v), _ in upgrades]
+        old = [edge_width(widths, u, v) for (u, v), _ in upgrades]
+        new = [width for _, width in upgrades]
+        delta_g, delta_c = width_deltas(self.tech, lengths, old, new)
+        return stack.score(np.zeros(len(upgrades), dtype=np.intp),
+                           rows[:, 0], rows[:, 1], delta_g, delta_c,
+                           self.weights).tolist()
 
 
 # Module-level task functions: the worker pool pickles them by reference.
@@ -449,7 +521,7 @@ class ParallelCandidateEvaluator:
 
 
 #: Evaluator modes accepted by :func:`get_candidate_evaluator`.
-EVALUATOR_MODES = ("auto", "incremental", "naive", "parallel", "multinet")
+EVALUATOR_MODES = ("auto", "incremental", "naive", "parallel")
 
 
 def get_candidate_evaluator(model: DelayModel,
@@ -465,10 +537,8 @@ def get_candidate_evaluator(model: DelayModel,
     and the naive reference path otherwise — recording a fallback
     provenance event when it does, so degraded evaluation is visible in
     journals. ``"parallel"`` fans the naive path out over ``workers``
-    pool processes — opt-in, for SPICE-class oracles. ``"multinet"``
-    returns the stacked fleet engine of :mod:`repro.delay.multinet`
-    (Elmore only), which also scores whole fleets of nets at once.
-    Memoized wrappers are looked through when deciding.
+    pool processes — opt-in, for SPICE-class oracles. Memoized wrappers
+    are looked through when deciding.
 
     When the active :class:`~repro.guard.policy.GuardPolicy` enables
     shadow auditing, the incremental engine is wrapped in a
@@ -490,24 +560,6 @@ def get_candidate_evaluator(model: DelayModel,
                        f"auto candidate evaluation fell back to naive "
                        f"per-candidate re-evaluation")
             mode = "naive"
-    if mode == "multinet":
-        # Imported lazily: repro.delay.multinet imports this module for the
-        # memo and naive reference, so a top-level import would be a cycle.
-        from repro.delay.multinet import FleetEvaluator
-
-        if not isinstance(inner, ElmoreGraphModel):
-            raise ValueError(
-                f"multinet candidate evaluation requires the graph-Elmore "
-                f"oracle (the stacked fleet factorization is its closed "
-                f"form); got {inner!r} — use mode='naive' or 'parallel' "
-                f"for other oracles")
-        fleet = FleetEvaluator(inner.tech, weights=weights)
-        policy = active_guard()
-        if policy.audit_enabled:
-            return ShadowAuditedEvaluator(
-                fleet, NaiveCandidateEvaluator(model, weights=weights),
-                policy, source="multinet-elmore")
-        return fleet
     if mode == "incremental":
         if not isinstance(inner, ElmoreGraphModel):
             raise ValueError(

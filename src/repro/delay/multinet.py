@@ -1,91 +1,74 @@
-"""Fleet-scale candidate evaluation: many nets, one stacked linear-algebra call.
+"""Fleet-scale routing: many nets, one stacked linear-algebra call.
 
-The Sherman–Morrison engine (:mod:`repro.delay.incremental`) already
-vectorizes all candidates *within* one net behind a single factorization.
-Sweeps and the routing service, however, route nets strictly one at a
-time, so a 50-net table generation pays 50 separate factorizations, 50
-Python greedy-loop dispatches, and 50 rounds of per-net numpy overhead
-per iteration. This module lifts the same math one axis higher:
+The Sherman–Morrison engine (:mod:`repro.delay.incremental`) scores all
+candidates *within* one net behind a single factorization. Sweeps and the
+routing service route many nets, which would pay one factorization and
+one round of numpy overhead per net per iteration. This module lifts the
+same math one axis higher:
 
-* :class:`_StackedBase` assembles each net's reduced conductance system
-  (vectorized scatter-adds following the exact conventions of
-  :func:`~repro.delay.rc_builder.build_reduced_rc`) and factorizes the
-  whole fleet as one stacked
-  ``(B, n, n)`` Cholesky — numpy's batched ``linalg`` gufuncs process
-  each matrix independently, so every net's numbers are bit-for-bit
-  independent of which other nets share its batch (that invariance is
-  what makes serial-vs-batched byte-identity checkable);
-* :class:`FleetEvaluator` scores one greedy generation's candidates for
-  the whole fleet as a single flattened Sherman–Morrison expression with
-  per-net owner masks, and satisfies the ordinary
-  :class:`~repro.delay.models.CandidateEvaluator` protocol as the
-  degenerate fleet of one;
-* :func:`route_fleet` drives N independent greedy loops in lockstep —
-  one stacked factorization per generation serves every active net's
-  base delays *and* its candidate batch; converged nets drop out.
+* :class:`FleetEvaluator` keeps each member's reduced RC system
+  (assembled by :func:`~repro.delay.rc_builder.build_reduced_rc`, then
+  advanced in place by each accepted edge's π-section) and inverts every
+  same-shape group as one stacked ``(B, n, n)`` Cholesky. numpy's
+  batched ``linalg`` gufuncs process each matrix independently, so every
+  net's numbers are bit-for-bit independent of its batch-mates. The
+  resulting :class:`~repro.delay.incremental.ElmoreStack` yields each
+  member's base delays and, through the one shared scorer, its whole
+  candidate batch;
+* :func:`route_fleet` runs the one greedy loop,
+  :func:`repro.core.ldrg.greedy_generations`, over the fleet with that
+  stacked call as its per-generation prefetch.
 
-All array math goes through the pluggable :mod:`repro.delay.xp`
-namespace boundary (numpy by default, CuPy opt-in and import-guarded),
-so the identical code is GPU-ready without a branch in the math.
+Only the inverse differs from the single-net engine. The single-net lane
+factors through the regularizing
+:class:`~repro.guard.numerics.GuardedFactorization` ladder; the fleet lane
+uses the unregularized batched Cholesky and drops a group to the guarded
+ladder (with a recorded fallback event) only when numpy rejects it. The
+two agree to ≤ 1e-9 relative on ordinary nets but not on extremely long
+wires, where the regularization swamps the wire conductance (see
+ROADMAP), so both lanes stay.
 
-Honesty levers carry over from the sequential path: the PR-4 shadow
-audit wraps each fleet member (sampled re-scores through the naive
-oracle; a diverging member is quarantined onto the reference path
-without disturbing the rest of the fleet), base-delay results are
-memoized under the exact per-net ``(model key, graph fingerprint)``
-identity the sequential :class:`~repro.delay.incremental.DelayMemo`
-uses — never a batch position — and a batched factorization that numpy
-rejects falls back, with a recorded provenance event, to the per-net
-:class:`~repro.guard.numerics.GuardedFactorization` ladder. The
-property suite pins fleet-batched scores to the per-net incremental
-engine at ≤ 1e-9 relative with identical chosen edges.
+The shadow audit wraps each fleet member (a diverging member is
+quarantined onto the naive reference without disturbing the rest of the
+fleet), and base delays are memoized under the per-net
+``(model key, graph fingerprint)`` identity the sequential
+:class:`~repro.delay.incremental.DelayMemo` uses — never a batch position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.result import IterationRecord, RoutingResult, WIN_TOLERANCE
+from repro.core.ldrg import greedy_generations
+from repro.core.result import RoutingResult
 from repro.delay.incremental import (
-    PSEUDO_SHORT_CONDUCTANCE,
     DelayMemo,
+    ElmoreStack,
     NaiveCandidateEvaluator,
     graph_fingerprint,
     memoize_model,
+    node_coordinates,
 )
 from repro.delay.models import (
     CandidateEdge,
+    CandidateEvaluator,
     DelayModel,
     ElmoreGraphModel,
     WidthUpgrade,
     get_delay_model,
-    reduce_delays,
 )
 from repro.delay.parameters import Technology
-from repro.delay.rc_builder import EdgeWidths, edge_width
-from repro.delay.xp import asnumpy, backend_name, resolve_backend
+from repro.delay.rc_builder import build_reduced_rc, pi_section
 from repro.geometry.net import Net
 from repro.graph.mst import prim_mst
-from repro.graph.routing_graph import RoutingGraph, RoutingGraphError
+from repro.graph.routing_graph import RoutingGraph
 from repro.graph.validation import check_spanning
 from repro.guard.audit import ShadowAuditedEvaluator
 from repro.guard.incidents import KIND_FALLBACK, record_event
 from repro.guard.numerics import GuardedFactorization
 from repro.guard.policy import active_guard
-from repro.guard.sentinels import (
-    sentinel_connected,
-    sentinel_delay_non_increase,
-    sentinel_finite_delays,
-    sentinel_monotone_cost,
-)
-
-
-# ---------------------------------------------------------------------------
-# Stacked linear algebra
-# ---------------------------------------------------------------------------
 
 
 def _guarded_inverse_stack(stack: np.ndarray, context: str) -> np.ndarray:
@@ -111,8 +94,8 @@ def _guarded_inverse_stack(stack: np.ndarray, context: str) -> np.ndarray:
         for index, matrix in enumerate(stack)])
 
 
-def _batched_spd_inverse(stack: np.ndarray, xp, context: str):
-    """Inverse of a ``(B, n, n)`` stack of SPD systems, on backend ``xp``.
+def _batched_spd_inverse(stack: np.ndarray, context: str) -> np.ndarray:
+    """Inverse of a ``(B, n, n)`` stack of SPD systems.
 
     ``G⁻¹ = L⁻ᵀ L⁻¹`` from one batched Cholesky; every batched gufunc
     involved works matrix-by-matrix, so member results do not depend on
@@ -120,299 +103,109 @@ def _batched_spd_inverse(stack: np.ndarray, xp, context: str):
     stacked call, and numpy's batched path performs no conditioning
     check) drops the group to per-net guarded factorizations.
     """
-    device = xp.asarray(stack)
     try:
-        chol = xp.linalg.cholesky(device)
-        identity = xp.eye(stack.shape[-1], dtype=device.dtype)
-        chol_inv = xp.linalg.solve(chol, identity)
-        inverse = xp.matmul(xp.swapaxes(chol_inv, -1, -2), chol_inv)
+        chol = np.linalg.cholesky(stack)
+        chol_inv = np.linalg.solve(chol, np.eye(stack.shape[-1]))
+        inverse = np.matmul(np.swapaxes(chol_inv, -1, -2), chol_inv)
     except np.linalg.LinAlgError:
         # A rejected batched factorization downgrades the group to the
         # per-net GuardedFactorization ladder (recorded as a fallback
         # provenance event); ladder exhaustion still raises a structured
         # NumericalIncident rather than swallowing the fault.
-        return xp.asarray(_guarded_inverse_stack(stack, context))
-    if not bool(xp.isfinite(inverse).all()):
-        return xp.asarray(_guarded_inverse_stack(stack, context))
+        return _guarded_inverse_stack(stack, context)
+    if not np.isfinite(inverse).all():
+        return _guarded_inverse_stack(stack, context)
     return inverse
 
 
 class _MemberSystem:
-    """One member's assembled reduced RC system, advanced edge by edge.
+    """One member's reduced RC system, advanced edge by edge.
 
     Rebuilding every member's dense conductance system each generation
-    dominated the fleet profile, yet a generation changes a member's
-    graph by exactly one accepted edge. The evaluator therefore keeps
-    each member's assembled ``(G, c, drive)`` arrays alive and
-    :meth:`refresh` folds newly added edges in place — the identical
-    per-edge arithmetic :meth:`_assemble` (and hence
-    :func:`~repro.delay.rc_builder.build_reduced_rc`) uses, applied in
-    edge-acceptance order instead of sorted-edge order; the ≤ 1e-9
-    property bound absorbs that last-ulp accumulation difference, and
-    per-member updates never look at the rest of the fleet, preserving
-    the serial-vs-batched byte identity.
+    would dominate the fleet profile, yet a generation changes a
+    member's graph by exactly one accepted edge. The evaluator therefore
+    keeps each member's assembled ``(G, c, b)`` arrays alive and
+    :meth:`refresh` folds newly added edges' π-sections in place — in
+    edge-acceptance order instead of the builder's sorted-edge order, a
+    last-ulp accumulation difference. Per-member updates never look at
+    the rest of the fleet, preserving batch-composition invariance.
     """
 
-    def __init__(self, graph: RoutingGraph, tech: Technology,
-                 widths: EdgeWidths | None = None):
-        if not graph.spans_net():
-            raise RoutingGraphError(
-                f"routing over net {graph.net.name!r} does not span "
-                f"all pins")
+    def __init__(self, graph: RoutingGraph, tech: Technology):
+        system = build_reduced_rc(graph, tech, segments=1)
         self.graph = graph
-        #: node id → system row, as an array so whole edge and candidate
-        #: batches translate in one fancy-indexing step. With one
-        #: π-section per edge rows are exactly the sorted node list —
-        #: the same row convention :func:`build_reduced_rc` uses.
-        self.nodes = sorted(graph.nodes())
-        size = len(self.nodes)
-        self.row_lookup = np.full(max(self.nodes) + 1, -1, dtype=np.intp)
-        for row, node in enumerate(self.nodes):
-            self.row_lookup[node] = row
-        self.coords = np.array([graph.position(node).as_tuple()
-                                for node in self.nodes], dtype=float)
-        self.conductance = np.zeros((size, size))
-        self.capacitance = np.zeros(size)
-        self.drive = np.zeros(size)
-        self.edge_set: set[tuple[int, int]] = {
-            (int(u), int(v)) for u, v in graph.edges()}
-        self._assemble(graph, tech, widths)
+        #: with one π-section per edge the rows are the sorted node ids
+        self.nodes = system.labels
+        self.row_of = {node: row for row, node in enumerate(self.nodes)}
+        self.coords = node_coordinates(graph, self.nodes)
+        self.conductance = system.G
+        self.capacitance = system.c
+        self.drive = system.b
+        self.edge_set = set(graph.edges())
 
     def refresh(self, graph: RoutingGraph, tech: Technology) -> bool:
         """Bring the system up to date with ``graph``; False → rebuild.
 
         Reusable only for the *same* graph object (greedy loops mutate
         their graph in place, and the identity check also rules out an
-        ``id()``-reuse collision) that has gained edges since assembly —
-        each new edge's π-section folds in with in-place adds. Any other
-        change (edges removed, a different object) disqualifies the
-        cache and the caller assembles afresh.
+        ``id()``-reuse collision) that has gained edges since assembly.
+        Any other change (edges removed, a different object) disqualifies
+        the cache and the caller assembles afresh.
         """
         if graph is not self.graph:
             return False
-        edges = [(int(u), int(v)) for u, v in graph.edges()]
+        edges = graph.edges()
         added = [edge for edge in edges if edge not in self.edge_set]
         if len(self.edge_set) + len(added) != len(edges):
             return False
+        seg_gs, seg_cs = pi_section(
+            tech, [graph.edge_length(u, v) for u, v in added])
         G = self.conductance
-        for u, v in added:
-            row_u = int(self.row_lookup[u])
-            row_v = int(self.row_lookup[v])
-            delta = self.coords[row_u] - self.coords[row_v]
-            length = abs(delta[0]) + abs(delta[1])
-            if length > 0:
-                seg_g = 1.0 / (tech.wire_resistance * length)
-                seg_c = tech.wire_capacitance * (
-                    tech.cap_area_fraction
-                    + (1.0 - tech.cap_area_fraction)) * length
-            else:
-                seg_g = PSEUDO_SHORT_CONDUCTANCE
-                seg_c = 0.0
+        for (u, v), seg_g, seg_c in zip(added, seg_gs.tolist(),
+                                        seg_cs.tolist()):
+            row_u, row_v = self.row_of[u], self.row_of[v]
             G[row_u, row_u] += seg_g
             G[row_v, row_v] += seg_g
             G[row_u, row_v] -= seg_g
             G[row_v, row_u] -= seg_g
             self.capacitance[row_u] += seg_c / 2.0
             self.capacitance[row_v] += seg_c / 2.0
-            self.edge_set.add((u, v))
+        self.edge_set.update(added)
         return True
 
-    def _assemble(self, graph: RoutingGraph, tech: Technology,
-                  widths: EdgeWidths | None) -> None:
-        """Scatter the member's full reduced RC system from scratch.
 
-        The vectorized twin of :func:`~repro.delay.rc_builder.\
-        build_reduced_rc` at ``segments=1``: identical per-edge
-        conductances/capacitances (1 µΩ pseudo-short for zero-length
-        edges, π-section half-caps, sink loads, driver conductance, the
-        1e-24 capacitance floor), accumulated with ordered scatter-adds
-        instead of a Python loop. The property suite pins the resulting
-        delays to the sequential builder's at ≤ 1e-9 relative.
-        """
-        G = self.conductance
-        c = self.capacitance
-        edges = np.asarray(graph.edges(), dtype=np.intp)
-        if len(edges):
-            rows_u = self.row_lookup[edges[:, 0]]
-            rows_v = self.row_lookup[edges[:, 1]]
-            delta = self.coords[rows_u] - self.coords[rows_v]
-            lengths = np.abs(delta[:, 0]) + np.abs(delta[:, 1])
-            if widths is None:
-                width_vec = np.ones(len(edges))
-            else:
-                width_vec = np.array(
-                    [edge_width(widths, int(u), int(v))
-                     for u, v in edges])
-            positive = lengths > 0
-            resistance = (tech.wire_resistance / width_vec
-                          * np.where(positive, lengths, 1.0))
-            seg_g = np.where(positive, 1.0 / resistance,
-                             PSEUDO_SHORT_CONDUCTANCE)
-            area = tech.cap_area_fraction * width_vec
-            fringe = 1.0 - tech.cap_area_fraction
-            seg_c = tech.wire_capacitance * (area + fringe) * lengths
-            np.add.at(G, (rows_u, rows_u), seg_g)
-            np.add.at(G, (rows_v, rows_v), seg_g)
-            np.subtract.at(G, (rows_u, rows_v), seg_g)
-            np.subtract.at(G, (rows_v, rows_u), seg_g)
-            np.add.at(c, rows_u, seg_c / 2.0)
-            np.add.at(c, rows_v, seg_c / 2.0)
-        sink_rows = self.row_lookup[np.arange(1, graph.num_pins)]
-        c[sink_rows] += tech.sink_capacitance
-        g_driver = 1.0 / tech.driver_resistance
-        source_row = int(self.row_lookup[graph.source])
-        G[source_row, source_row] += g_driver
-        self.drive[source_row] = g_driver
-        # Nodes with zero capacitance (possible only for degenerate
-        # zero-length topologies) get a vanishing cap so the state space
-        # stays well-posed — the same floor build_reduced_rc applies.
-        floor = 1e-24
-        c[c < floor] = floor
+def _stacked_base(systems: Sequence[_MemberSystem]) -> ElmoreStack:
+    """One generation's stacked factorization of a same-shape group.
 
-
-class _StackedBase:
-    """One generation's stacked factorizations for a same-shape fleet group.
-
-    All member systems must share the same node set and pin count (the
-    caller groups by that key), so they stack without padding: padding
-    would perturb BLAS summation orders and break the per-net
-    bit-independence the determinism smoke relies on.
+    All member systems share node set and pin count (the caller groups
+    by that key), so they stack without padding: padding would perturb
+    BLAS summation orders and break the per-net bit-independence the
+    determinism smoke relies on.
     """
-
-    def __init__(self, systems: Sequence[_MemberSystem], xp,
-                 context: str = "multinet-base"):
-        self.xp = xp
-        self.nodes = systems[0].nodes
-        self.row_lookup = systems[0].row_lookup
-        size = len(self.nodes)
-        conductance = np.stack(
-            [system.conductance for system in systems])
-        capacitance = np.stack(
-            [system.capacitance for system in systems])
-        drive = np.stack([system.drive for system in systems])
-        self.Ginv = _batched_spd_inverse(
-            conductance, xp, f"{context}[n={size}]")
-        cap_dev = xp.asarray(capacitance)
-        drive_dev = xp.asarray(drive)
-        self.v_inf = xp.matmul(self.Ginv, drive_dev[..., None])[..., 0]
-        self.T0 = xp.matmul(self.Ginv,
-                            (cap_dev * self.v_inf)[..., None])[..., 0]
-        self.sinks = list(systems[0].graph.sink_indices())
-        self.sink_rows = self.row_lookup[np.array(self.sinks,
-                                                  dtype=np.intp)]
-        self._T0_host = asnumpy(xp, self.T0)
-
-    def row(self, node: int) -> int:
-        return int(self.row_lookup[node])
-
-    def member_delays(self, slot: int) -> dict[int, float]:
-        """Per-sink Elmore delays of fleet member ``slot``'s base graph.
-
-        The first moment at the sinks *is* ``T0`` — the same vector the
-        candidate corrections are taken against — so one stacked
-        factorization yields both the full evaluation of every member
-        and its whole candidate batch.
-        """
-        return {sink: float(self._T0_host[slot, row])
-                for sink, row in zip(self.sinks, self.sink_rows)}
-
-    def score(self, owner: np.ndarray, rows_u: np.ndarray,
-              rows_v: np.ndarray, delta_g: np.ndarray, delta_c: np.ndarray,
-              weights: Mapping[int, float] | None) -> np.ndarray:
-        """Objective after each ``(owner, u, v, Δg, Δc)`` low-rank update.
-
-        The flattened cross-net form of
-        :meth:`repro.delay.incremental._ElmoreBase.score`: ``owner[j]``
-        selects candidate ``j``'s member slice of the stack, and every
-        operation is elementwise per candidate (plus a fixed-order
-        per-column sink reduction), so scores are bitwise independent of
-        how candidates from different nets interleave.
-        """
-        xp = self.xp
-        Ginv = self.Ginv
-        owner_dev = xp.asarray(owner)
-        rows_u_dev = xp.asarray(rows_u)
-        rows_v_dev = xp.asarray(rows_v)
-        delta_g_dev = xp.asarray(delta_g)
-        delta_c_dev = xp.asarray(delta_c)
-        guu = Ginv[owner_dev, rows_u_dev, rows_u_dev]
-        gvv = Ginv[owner_dev, rows_v_dev, rows_v_dev]
-        guv = Ginv[owner_dev, rows_u_dev, rows_v_dev]
-        # f = g / (1 + g·q) computed as 1/(1/g + q): no overflow for the
-        # 1e6-conductance pseudo-short, exact zero for Δg = 0 upgrades.
-        q = guu + gvv - 2.0 * guv
-        factor = xp.zeros_like(delta_g_dev)
-        nonzero = delta_g_dev != 0.0
-        factor[nonzero] = 1.0 / (1.0 / delta_g_dev[nonzero] + q[nonzero])
-
-        v_u = self.v_inf[owner_dev, rows_u_dev]
-        v_v = self.v_inf[owner_dev, rows_v_dev]
-        alpha = (self.T0[owner_dev, rows_u_dev]
-                 - self.T0[owner_dev, rows_v_dev]
-                 + delta_c_dev * (v_u * (guu - guv) + v_v * (guv - gvv)))
-
-        sink_rows_dev = xp.asarray(self.sink_rows)
-        cols_u = Ginv[owner_dev[None, :], sink_rows_dev[:, None],
-                      rows_u_dev[None, :]]
-        cols_v = Ginv[owner_dev[None, :], sink_rows_dev[:, None],
-                      rows_v_dev[None, :]]
-        base = self.T0[owner_dev[None, :], sink_rows_dev[:, None]]
-        delays = (base + delta_c_dev * (v_u * cols_u + v_v * cols_v)
-                  - (factor * alpha) * (cols_u - cols_v))
-        if weights is None:
-            return asnumpy(xp, delays.max(axis=0))
-        weight_vec = xp.asarray(
-            np.array([weights.get(sink, 0.0) for sink in self.sinks]))
-        return asnumpy(xp, weight_vec @ delays)
-
-
-# ---------------------------------------------------------------------------
-# The fleet evaluator
-# ---------------------------------------------------------------------------
-
-
-def _addition_deltas(coords_u: np.ndarray, coords_v: np.ndarray,
-                     tech: Technology) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate ``(Δg, Δc)`` for edge additions (π-section halves).
-
-    Manhattan lengths come from one vectorized gather of the member
-    systems' cached node coordinates instead of per-candidate
-    :meth:`Point.manhattan` calls; the arithmetic (|Δx| + |Δy|, then the
-    1/(r·ℓ) and c·ℓ/2 forms) is elementwise identical to the sequential
-    engine's, pseudo-short included.
-    """
-    delta = coords_u - coords_v
-    lengths = np.abs(delta[:, 0]) + np.abs(delta[:, 1])
-    resistance = tech.resistance_per_um(1.0)
-    capacitance = tech.capacitance_per_um(1.0)
-    positive = lengths > 0
-    delta_g = np.where(
-        positive,
-        1.0 / (resistance * np.where(positive, lengths, 1.0)),
-        PSEUDO_SHORT_CONDUCTANCE)
-    delta_c = np.where(positive, capacitance * lengths / 2.0, 0.0)
-    return delta_g, delta_c
+    nodes = systems[0].nodes
+    conductance = np.stack([system.conductance for system in systems])
+    capacitance = np.stack([system.capacitance for system in systems])
+    drive = np.stack([system.drive for system in systems])
+    Ginv = _batched_spd_inverse(conductance, f"multinet-base[n={len(nodes)}]")
+    v_inf = np.matmul(Ginv, drive[..., None])[..., 0]
+    T0 = np.matmul(Ginv, (capacitance * v_inf)[..., None])[..., 0]
+    return ElmoreStack(Ginv, v_inf, T0, nodes,
+                       systems[0].graph.sink_indices(),
+                       np.stack([system.coords for system in systems]))
 
 
 class FleetEvaluator:
-    """Batched multi-net Elmore candidate scoring behind the standard protocol.
+    """Batched multi-net Elmore evaluation of one greedy generation.
 
-    One instance serves a whole fleet: :meth:`evaluate_generation` takes
-    each active net's graph and candidate batch and returns every net's
-    base sink delays plus candidate scores from one stacked call per
-    same-shape group. The plain :class:`~repro.delay.models.\
-    CandidateEvaluator` methods are the fleet of one, so this evaluator
-    drops into any greedy loop (and is what ``mode="multinet"`` of
-    :func:`~repro.delay.incremental.get_candidate_evaluator` returns).
+    :meth:`evaluate_generation` takes each active net's graph and
+    candidate batch and returns every net's base sink delays plus
+    candidate scores from one stacked call per same-shape group.
 
     Args:
         tech: interconnect technology (the evaluator is exact for the
             graph-Elmore oracle over it).
         weights: optional sink criticalities switching the objective to
             the weighted sum, as everywhere else.
-        backend: array-namespace spec for :func:`~repro.delay.xp.\
-            resolve_backend` — ``"numpy"`` (default via ``"auto"``) or
-            ``"cupy"``.
         memo: optional :class:`~repro.delay.incremental.DelayMemo` the
             per-net *base* evaluations are read from and recorded into,
             keyed by ``(model key, per-net graph fingerprint)`` — the
@@ -422,12 +215,9 @@ class FleetEvaluator:
 
     def __init__(self, tech: Technology,
                  weights: Mapping[int, float] | None = None,
-                 backend: str = "auto",
                  memo: DelayMemo | None = None):
         self.tech = tech
         self.weights = dict(weights) if weights is not None else None
-        self.xp = resolve_backend(backend)
-        self.backend = backend_name(self.xp)
         self.memo = memo
         self._model_key = ElmoreGraphModel(tech).memo_key()
         #: assembled systems of the current fleet, keyed by graph
@@ -435,8 +225,6 @@ class FleetEvaluator:
         #: to the live fleet each generation so long-lived evaluators
         #: (the service) do not accumulate dead systems.
         self._systems: dict[int, _MemberSystem] = {}
-
-    # -- fleet interface ----------------------------------------------------
 
     def evaluate_generation(
             self, graphs: Sequence[RoutingGraph],
@@ -459,87 +247,14 @@ class FleetEvaluator:
         self._systems = {id(graph): system
                          for graph, system in zip(graphs, systems)}
         for indices in self._shape_groups(graphs):
-            base = _StackedBase([systems[i] for i in indices], self.xp)
+            stack = _stacked_base([systems[i] for i in indices])
             for slot, i in enumerate(indices):
-                delays_out[i] = self._memoized_delays(graphs[i], base, slot)
-            owner_parts, u_parts, v_parts = [], [], []
-            for slot, i in enumerate(indices):
-                batch = candidates[i]
-                if not batch:
-                    continue
-                pairs = np.asarray(batch, dtype=np.intp)
-                owner_parts.append(
-                    np.full(len(batch), slot, dtype=np.intp))
-                u_parts.append(base.row_lookup[pairs[:, 0]])
-                v_parts.append(base.row_lookup[pairs[:, 1]])
-            if not owner_parts:
-                continue
-            owner = np.concatenate(owner_parts)
-            rows_u = np.concatenate(u_parts)
-            rows_v = np.concatenate(v_parts)
-            # one coordinate gather for the whole group's candidates —
-            # still elementwise per candidate, so per-member bits do not
-            # depend on how the group's batches interleave
-            coords = np.stack([systems[i].coords for i in indices])
-            delta_g, delta_c = _addition_deltas(
-                coords[owner, rows_u], coords[owner, rows_v], self.tech)
-            flat_scores = base.score(
-                owner, rows_u, rows_v, delta_g, delta_c, self.weights)
-            cursor = 0
-            for slot, i in enumerate(indices):
-                width = len(candidates[i])
-                scores_out[i] = [float(s)
-                                 for s in flat_scores[cursor:cursor + width]]
-                cursor += width
+                delays_out[i] = self._memoized_delays(graphs[i], stack, slot)
+            scores = stack.score_additions(
+                [candidates[i] for i in indices], self.tech, self.weights)
+            for i, member_scores in zip(indices, scores):
+                scores_out[i] = member_scores
         return delays_out, scores_out
-
-    def score_fleet_additions(
-            self, graphs: Sequence[RoutingGraph],
-            candidates: Sequence[Sequence[CandidateEdge]],
-    ) -> list[list[float]]:
-        """Candidate-addition scores for every member of a fleet."""
-        return self.evaluate_generation(graphs, candidates)[1]
-
-    # -- CandidateEvaluator protocol (the fleet of one) ---------------------
-
-    def score_additions(self, graph: RoutingGraph,
-                        candidates: Sequence[CandidateEdge]) -> list[float]:
-        if not candidates:
-            return []
-        return self.score_fleet_additions([graph], [candidates])[0]
-
-    def score_width_upgrades(self, graph: RoutingGraph,
-                             widths: Mapping[tuple[int, int], float],
-                             upgrades: Sequence[WidthUpgrade]) -> list[float]:
-        if not upgrades:
-            return []
-        base = _StackedBase([_MemberSystem(graph, self.tech, widths)],
-                            self.xp, context="multinet-widths")
-        rows_u, rows_v, delta_g, delta_c = [], [], [], []
-        for (u, v), new_width in upgrades:
-            length = graph.edge_length(u, v)
-            old_width = edge_width(widths, u, v)
-            rows_u.append(base.row(u))
-            rows_v.append(base.row(v))
-            if length > 0:
-                delta_g.append(
-                    1.0 / (self.tech.resistance_per_um(new_width) * length)
-                    - 1.0 / (self.tech.resistance_per_um(old_width) * length))
-                delta_c.append(
-                    (self.tech.capacitance_per_um(new_width)
-                     - self.tech.capacitance_per_um(old_width)) * length / 2.0)
-            else:
-                # Zero-length pseudo-shorts are width-independent: the 1 µΩ
-                # conductance and zero capacitance do not move with width.
-                delta_g.append(0.0)
-                delta_c.append(0.0)
-        scores = base.score(
-            np.zeros(len(upgrades), dtype=np.intp),
-            np.array(rows_u, dtype=np.intp), np.array(rows_v, dtype=np.intp),
-            np.array(delta_g), np.array(delta_c), self.weights)
-        return [float(s) for s in scores]
-
-    # -- internals ----------------------------------------------------------
 
     def _system_for(self, graph: RoutingGraph) -> _MemberSystem:
         """The member's assembled system — refreshed in place when the
@@ -563,7 +278,7 @@ class FleetEvaluator:
             groups.setdefault(key, []).append(index)
         return list(groups.values())
 
-    def _memoized_delays(self, graph: RoutingGraph, base: _StackedBase,
+    def _memoized_delays(self, graph: RoutingGraph, stack: ElmoreStack,
                          slot: int) -> dict[int, float]:
         """Member base delays, read through / recorded into the memo.
 
@@ -574,78 +289,67 @@ class FleetEvaluator:
         never depends on where in the batch it sat.
         """
         if self.memo is None:
-            return base.member_delays(slot)
+            return stack.delays(slot)
         key = (self._model_key, graph_fingerprint(graph))
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        delays = base.member_delays(slot)
+        delays = stack.delays(slot)
         self.memo.put(key, delays)
         return dict(delays)
 
 
-# ---------------------------------------------------------------------------
-# The lockstep fleet driver
-# ---------------------------------------------------------------------------
+class _FleetPrefetch:
+    """The fleet's stacked call, in the shape the greedy loop consumes.
 
-
-class _Prescored:
-    """Adapter presenting already-batched scores as a CandidateEvaluator.
-
-    The shadow auditor wraps a *fast evaluator*; in the fleet the fast
-    scores already exist (they came out of the stacked call), so this
-    shim hands them over verbatim and the unmodified
-    :class:`~repro.guard.audit.ShadowAuditedEvaluator` supplies the
-    sampling, divergence, and per-member quarantine semantics on top.
+    Each generation, one :meth:`FleetEvaluator.evaluate_generation`
+    serves every member its shadow audit has not quarantined: the call
+    returns the members' search-oracle delays and keeps their scores for
+    :meth:`score_additions`, the fast path of each member's evaluator. A
+    quarantined member sits out; its oracle and the naive reference
+    serve it from then on.
     """
 
-    def __init__(self) -> None:
-        self.scores: list[float] = []
+    def __init__(self, fleet: FleetEvaluator):
+        self.fleet = fleet
+        self.auditors: dict[int, ShadowAuditedEvaluator] = {}
+        self._scores: dict[int, list[float]] = {}
+
+    def evaluator_for(self, graph: RoutingGraph, search: DelayModel,
+                      weights: Mapping[int, float] | None,
+                      algorithm: str) -> CandidateEvaluator:
+        policy = active_guard()
+        if not policy.audit_enabled:
+            return self
+        auditor = ShadowAuditedEvaluator(
+            self, NaiveCandidateEvaluator(search, weights=weights), policy,
+            source=f"multinet:{algorithm}:{graph.net.name}")
+        self.auditors[id(graph)] = auditor
+        return auditor
+
+    def __call__(self, graphs: list[RoutingGraph],
+                 batches: list[list[CandidateEdge]]
+                 ) -> list[dict[int, float] | None]:
+        stacked = [i for i, graph in enumerate(graphs)
+                   if not getattr(self.auditors.get(id(graph)),
+                                  "quarantined", False)]
+        delays, scores = self.fleet.evaluate_generation(
+            [graphs[i] for i in stacked], [batches[i] for i in stacked])
+        self._scores = {id(graphs[i]): member_scores
+                        for i, member_scores in zip(stacked, scores)}
+        prefetched: list[dict[int, float] | None] = [None] * len(graphs)
+        for i, member_delays in zip(stacked, delays):
+            prefetched[i] = member_delays
+        return prefetched
 
     def score_additions(self, graph: RoutingGraph,
                         candidates: Sequence[CandidateEdge]) -> list[float]:
-        return list(self.scores)
+        return self._scores[id(graph)]
 
     def score_width_upgrades(self, graph: RoutingGraph,
                              widths: Mapping[tuple[int, int], float],
                              upgrades: Sequence[WidthUpgrade]) -> list[float]:
-        return list(self.scores)
-
-
-@dataclass
-class _Member:
-    """Lockstep state of one net's greedy loop inside the fleet."""
-
-    graph: RoutingGraph
-    started: bool = False
-    base_delay: float = 0.0
-    base_cost: float = 0.0
-    current: float = 0.0
-    last_delays: dict[int, float] = field(default_factory=dict)
-    last_cost: float = 0.0
-    history: list[IterationRecord] = field(default_factory=list)
-    #: edge accepted last generation, awaiting its full re-evaluation
-    #: (which the *next* generation's stacked base provides for free)
-    pending_edge: tuple[int, int] | None = None
-    pending_previous: float = 0.0
-    pending_cost: float = 0.0
-    auditor: ShadowAuditedEvaluator | None = None
-    prescored: _Prescored | None = None
-    result: RoutingResult | None = None
-
-    @property
-    def done(self) -> bool:
-        return self.result is not None
-
-    @property
-    def quarantined(self) -> bool:
-        return self.auditor is not None and self.auditor.quarantined
-
-
-def _starting_graph(item: Net | RoutingGraph) -> RoutingGraph:
-    if isinstance(item, RoutingGraph):
-        return item.copy()
-    return prim_mst(item)
+        raise TypeError("the fleet scores edge additions only")
 
 
 def route_fleet(nets_or_graphs: Sequence[Net | RoutingGraph],
@@ -655,19 +359,14 @@ def route_fleet(nets_or_graphs: Sequence[Net | RoutingGraph],
                 evaluation_model: str | DelayModel | None = None,
                 weights: Mapping[int, float] | None = None,
                 max_added_edges: int | None = None,
-                backend: str = "auto",
                 memo: DelayMemo | None = None) -> list[RoutingResult]:
     """Route a fleet of nets through lockstep greedy edge addition.
 
-    Each member runs exactly the greedy loop of
-    :func:`repro.core.ldrg.greedy_edge_addition` — same acceptance rule
-    (:data:`~repro.core.result.WIN_TOLERANCE`), same sentinels, same
-    re-anchoring of the termination threshold on the full re-evaluation
-    — but every generation's base factorizations *and* candidate scores
-    for all still-active members come from one stacked call. Members
-    whose candidate batch stops winning (or whose edge budget runs out)
-    finalize into a :class:`~repro.core.result.RoutingResult` and drop
-    out of the batch.
+    Each member runs the greedy loop of
+    :func:`repro.core.ldrg.greedy_generations` — the one loop
+    :func:`~repro.core.ldrg.greedy_edge_addition` runs as a fleet of
+    one — but every generation's base factorizations *and* candidate
+    scores for all still-active members come from one stacked call.
 
     Args:
         nets_or_graphs: the fleet — nets (an MST starting tree is built
@@ -686,7 +385,6 @@ def route_fleet(nets_or_graphs: Sequence[Net | RoutingGraph],
             sequential loop's split-oracle mode.
         weights: optional sink criticalities (weighted-sum objective).
         max_added_edges: per-member cap on greedy iterations.
-        backend: array-namespace spec (``"auto"``/``"numpy"``/``"cupy"``).
         memo: optional :class:`~repro.delay.incremental.DelayMemo` the
             per-member base evaluations are read from and recorded into
             (keyed per net fingerprint, so hits are shared with the
@@ -697,166 +395,27 @@ def route_fleet(nets_or_graphs: Sequence[Net | RoutingGraph],
     Returns:
         One :class:`RoutingResult` per input, in input order.
     """
-    search = get_delay_model(delay_model, tech)
-    if not isinstance(search, ElmoreGraphModel):
+    model = get_delay_model(delay_model, tech)
+    if not isinstance(model, ElmoreGraphModel):
         raise ValueError(
             f"fleet routing requires the graph-Elmore search oracle (its "
             f"delays are one stacked linear solve per generation); got "
-            f"{search!r} — route such nets sequentially instead")
-    same_oracle = evaluation_model is None or evaluation_model is search
-    search_memoized = memoize_model(search)
-    evaluate = (search_memoized if same_oracle
+            f"{model!r} — route such nets sequentially instead")
+    search = memoize_model(model)
+    evaluate = (search if evaluation_model is None
+                or evaluation_model is model
                 else memoize_model(get_delay_model(evaluation_model, tech)))
-    evaluator = FleetEvaluator(tech, weights=weights, backend=backend,
-                               memo=memo)
-    policy = active_guard()
-
-    members: list[_Member] = []
-    for item in nets_or_graphs:
-        graph = _starting_graph(item)
+    prefetch = _FleetPrefetch(FleetEvaluator(tech, weights=weights,
+                                             memo=memo))
+    graphs = [item.copy() if isinstance(item, RoutingGraph)
+              else prim_mst(item) for item in nets_or_graphs]
+    for graph in graphs:
         check_spanning(graph)
-        member = _Member(graph=graph)
-        if policy.audit_enabled:
-            member.prescored = _Prescored()
-            member.auditor = ShadowAuditedEvaluator(
-                member.prescored,
-                NaiveCandidateEvaluator(search_memoized, weights=weights),
-                policy,
-                source=f"multinet:{algorithm}:{graph.net.name}")
-        members.append(member)
-
-    budget = max_added_edges if max_added_edges is not None else float("inf")
-    while True:
-        active = [m for m in members if not m.done]
-        if not active:
-            break
-        fast = [m for m in active if not m.quarantined]
-        slow = [m for m in active if m.quarantined]
-        fast_candidates = [m.graph.candidate_edges() for m in fast]
-        delays_list, scores_list = evaluator.evaluate_generation(
-            [m.graph for m in fast], fast_candidates)
-        for m, delays in zip(fast, delays_list):
-            _advance_member(m, delays, evaluate, same_oracle,
-                            algorithm, weights)
-        for m in slow:
-            # A quarantined member's fast path is retired entirely: its
-            # full evaluations and candidate scores both come from the
-            # (memoized) reference oracle for the rest of the run.
-            _advance_member(m, evaluate.delays(m.graph), evaluate,
-                            same_oracle, algorithm, weights)
-        for m, candidates, scores in zip(fast, fast_candidates, scores_list):
-            _greedy_step(m, candidates, scores, evaluate, same_oracle,
-                         algorithm, weights, budget)
-        for m in slow:
-            _greedy_step(m, m.graph.candidate_edges(), None, evaluate,
-                         same_oracle, algorithm, weights, budget)
-    return [m.result for m in members if m.result is not None]
-
-
-def _advance_member(member: _Member, delays: dict[int, float],
-                    evaluate: DelayModel, same_oracle: bool,
-                    algorithm: str, weights: Mapping[int, float] | None
-                    ) -> None:
-    """Fold one generation's full evaluation into a member's loop state.
-
-    Generation 0 establishes the baseline; later generations complete
-    the edge accepted in the previous one (the deferred re-evaluation,
-    sentinel checks, history row, and threshold re-anchoring of the
-    sequential loop body).
-    """
-    iteration = len(member.history)
-    if not member.started:
-        # First sight of this member: the baseline evaluation.
-        member.started = True
-        base_delays = (delays if same_oracle
-                       else evaluate.delays(member.graph))
-        sentinel_finite_delays(base_delays, source=f"{algorithm}:base")
-        member.base_delay = reduce_delays(base_delays, weights)
-        member.base_cost = member.graph.cost()
-        member.current = (member.base_delay if same_oracle
-                          else reduce_delays(delays, weights))
-        member.last_delays = base_delays
-        member.last_cost = member.base_cost
-        return
-    if member.pending_edge is None:
-        return
-    edge = member.pending_edge
-    member.pending_edge = None
-    full_delays = delays if same_oracle else evaluate.delays(member.graph)
-    sentinel_finite_delays(full_delays, source=f"{algorithm}:iter{iteration}")
-    eval_value = reduce_delays(full_delays, weights)
-    if same_oracle:
-        # The loop only accepted this edge because it improved the
-        # objective; the full re-evaluation disagreeing means the
-        # candidate scoring path has drifted.
-        sentinel_delay_non_increase(
-            member.pending_previous, eval_value,
-            source=f"{algorithm}:iter{iteration}")
-        member.current = eval_value
-    member.last_delays = full_delays
-    member.history.append(IterationRecord(
-        edge=edge, delay=eval_value, cost=member.pending_cost))
-
-
-def _greedy_step(member: _Member, candidates: Sequence[CandidateEdge],
-                 batched_scores: Sequence[float] | None,
-                 evaluate: DelayModel, same_oracle: bool, algorithm: str,
-                 weights: Mapping[int, float] | None,
-                 budget: float) -> None:
-    """One member's accept-or-finalize decision for this generation.
-
-    ``batched_scores`` are the member's scores from the stacked
-    generation call (``None`` for quarantined members, whose scores the
-    auditor produces from the reference path instead). The budget and
-    empty-batch exits come before any auditor involvement so the seeded
-    audit sampler sees exactly the batch sequence the sequential loop
-    would have shown it.
-    """
-    if len(member.history) >= budget:
-        _finalize(member, evaluate, algorithm, weights)
-        return
-    if not candidates:
-        _finalize(member, evaluate, algorithm, weights)
-        return
-    if member.auditor is not None:
-        if member.prescored is not None:
-            member.prescored.scores = (
-                list(batched_scores) if batched_scores is not None else [])
-        scores: Sequence[float] = member.auditor.score_additions(
-            member.graph, candidates)
-    else:
-        assert batched_scores is not None
-        scores = batched_scores
-    best_index = min(range(len(candidates)), key=scores.__getitem__)
-    best_value = scores[best_index]
-    if not best_value < member.current * (1.0 - WIN_TOLERANCE):
-        _finalize(member, evaluate, algorithm, weights)
-        return
-    member.graph.add_edge(*candidates[best_index])
-    sentinel_connected(member.graph,
-                       source=f"{algorithm}:iter{len(member.history)}")
-    cost = member.graph.cost()
-    sentinel_monotone_cost(member.last_cost, cost,
-                           source=f"{algorithm}:iter{len(member.history)}")
-    member.pending_edge = candidates[best_index]
-    member.pending_previous = member.current
-    member.pending_cost = cost
-    member.last_cost = cost
-    if not same_oracle:
-        member.current = best_value
-
-
-def _finalize(member: _Member, evaluate: DelayModel, algorithm: str,
-              weights: Mapping[int, float] | None) -> None:
-    member.result = RoutingResult(
-        graph=member.graph,
-        delay=reduce_delays(member.last_delays, weights),
-        cost=member.graph.cost(),
-        delays=member.last_delays,
-        base_delay=member.base_delay,
-        base_cost=member.base_cost,
-        algorithm=algorithm,
-        model=evaluate.name,
-        objective="max" if weights is None else "weighted-sum",
-        history=member.history,
-    )
+    return greedy_generations(
+        graphs, search, evaluate,
+        [prefetch.evaluator_for(graph, search, weights, algorithm)
+         for graph in graphs],
+        algorithm=algorithm, weights=weights,
+        max_added_edges=max_added_edges,
+        objective_name="max" if weights is None else "weighted-sum",
+        prefetch=prefetch)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.circuit.analytic import ReducedRC
 from repro.circuit.netlist import GROUND, Circuit
@@ -35,6 +36,10 @@ from repro.graph.routing_graph import RoutingGraph, RoutingGraphError
 INPUT_NODE = "in"
 
 EdgeWidths = Mapping[tuple[int, int], float]
+
+#: Conductance of a zero-length edge: a 1 µΩ pseudo-short. Steiner points
+#: may land on a pin's coordinates; the edge must still conduct.
+PSEUDO_SHORT_CONDUCTANCE = 1.0 / 1e-6
 
 
 def node_label(node: int) -> str:
@@ -66,6 +71,31 @@ def segment_count_for(length: float, segments: int) -> int:
     return segments if length > 0 else 1
 
 
+def pi_section(tech: Technology, lengths: ArrayLike,
+               widths: ArrayLike = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-wire ``(g, c)`` of one π-section, elementwise over ``lengths``.
+
+    ``g = 1/(r(w)·ℓ)`` is the series conductance and ``c = c(w)·ℓ`` the
+    total capacitance, which callers split ``c/2`` onto each end. A
+    zero-length wire is the :data:`PSEUDO_SHORT_CONDUCTANCE` with no
+    capacitance. Every reduced-RC assembler and every Sherman–Morrison
+    update (edge additions, width changes) takes its numbers from here.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    if (widths <= 0).any():
+        raise ValueError("wire width must be positive")
+    positive = lengths > 0
+    resistance = tech.wire_resistance / widths
+    g = np.where(positive,
+                 1.0 / (resistance * np.where(positive, lengths, 1.0)),
+                 PSEUDO_SHORT_CONDUCTANCE)
+    area = tech.cap_area_fraction * widths
+    fringe = 1.0 - tech.cap_area_fraction
+    c = tech.wire_capacitance * (area + fringe) * lengths
+    return g, c
+
+
 def build_reduced_rc(graph: RoutingGraph, tech: Technology,
                      segments: int = 1,
                      widths: EdgeWidths | None = None) -> ReducedRC:
@@ -83,34 +113,32 @@ def build_reduced_rc(graph: RoutingGraph, tech: Technology,
             f"routing over net {graph.net.name!r} does not span all pins")
     nodes = sorted(graph.nodes())
     labels: list = list(nodes)
-    row_of: dict = {node: i for i, node in enumerate(nodes)}
+    row_of = {node: i for i, node in enumerate(nodes)}
 
-    # First pass: create internal segment nodes.
-    edge_rows: dict[tuple[int, int], list[int]] = {}
-    for u, v in graph.edges():
+    # Each edge becomes a chain of rows; its internal wire nodes are
+    # appended after the graph nodes.
+    edges = graph.edges()
+    chains = []
+    for u, v in edges:
         key = edge_key(u, v)
-        count = segment_count_for(graph.edge_length(u, v), segments)
-        internal = []
-        for j in range(count - 1):
-            row_of[("w", key[0], key[1], j)] = len(labels)
-            internal.append(len(labels))
+        chain = [row_of[key[0]]]
+        for j in range(segment_count_for(graph.edge_length(u, v),
+                                         segments) - 1):
+            chain.append(len(labels))
             labels.append(("w", key[0], key[1], j))
-        edge_rows[key] = internal
+        chains.append(chain + [row_of[key[1]]])
+    seg_gs, seg_cs = pi_section(
+        tech,
+        [graph.edge_length(u, v) / (len(chain) - 1)
+         for (u, v), chain in zip(edges, chains)],
+        1.0 if widths is None else [edge_width(widths, u, v)
+                                    for u, v in edges])
 
     n = len(labels)
     G = np.zeros((n, n))
     c = np.zeros(n)
-
-    for u, v in graph.edges():
-        key = edge_key(u, v)
-        length = graph.edge_length(u, v)
-        width = edge_width(widths, u, v)
-        chain = [row_of[key[0]]] + edge_rows[key] + [row_of[key[1]]]
-        count = len(chain) - 1
-        seg_len = length / count
-        seg_g = (1.0 / (tech.resistance_per_um(width) * seg_len)
-                 if seg_len > 0 else 1.0 / 1e-6)  # 1 µΩ pseudo-short
-        seg_c = tech.capacitance_per_um(width) * seg_len
+    for chain, seg_g, seg_c in zip(chains, seg_gs.tolist(),
+                                   seg_cs.tolist()):
         for a, b_row in zip(chain, chain[1:]):
             G[a, a] += seg_g
             G[b_row, b_row] += seg_g

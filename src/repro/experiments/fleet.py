@@ -27,7 +27,6 @@ from repro.core.result import RoutingResult
 from repro.delay.multinet import route_fleet
 from repro.experiments.harness import (
     ExperimentConfig,
-    RowStats,
     aggregate,
     final_ratios,
     iteration_ratios,
@@ -67,19 +66,18 @@ def _starting_graphs(number: int, nets: Sequence[Net],
     return [elmore_routing_tree(net, config.tech) for net in nets]
 
 
-def fleet_row_results(number: int, config: ExperimentConfig, size: int,
-                      backend: str = "auto") -> list[RoutingResult]:
+def fleet_row_results(number: int, config: ExperimentConfig,
+                      size: int) -> list[RoutingResult]:
     """Route one table row's trial nets as a single batched fleet."""
     algorithm = _FLEET_STARTS[number][0]
     nets = list(config.nets(size))
     with config.guard_scope():
         return route_fleet(
             _starting_graphs(number, nets, config), config.tech,
-            algorithm=algorithm, backend=backend)
+            algorithm=algorithm)
 
 
-def run_fleet_table(number: int, config: ExperimentConfig,
-                    backend: str = "auto") -> Table:
+def run_fleet_table(number: int, config: ExperimentConfig) -> Table:
     """Regenerate a greedy-edge-addition table via the fleet backend.
 
     The graph-Elmore analogue of :func:`~repro.experiments.tables.\
@@ -94,7 +92,7 @@ run_table` for the eligible tables: identical trial nets, identical
             f"table {number} has no fleet-batched form (eligible: "
             f"{', '.join(str(n) for n in FLEET_TABLES)}); run it through "
             f"the sequential driver")
-    results = {size: fleet_row_results(number, config, size, backend)
+    results = {size: fleet_row_results(number, config, size)
                for size in config.sizes}
     algorithm = _FLEET_STARTS[number][0]
     baseline = {2: "MST", 3: "Steiner tree", 7: "ERT"}[number]
@@ -124,7 +122,6 @@ run_table` for the eligible tables: identical trial nets, identical
 
 
 def run_table_multinet(number: int, config: ExperimentConfig,
-                       backend: str = "auto",
                        sequential: Callable[..., Table] | None = None,
                        ) -> tuple[Table, bool]:
     """The ``table --multinet`` entry point: batch when eligible.
@@ -137,7 +134,7 @@ def run_table_multinet(number: int, config: ExperimentConfig,
     the fleet and which did not.
     """
     if number in _FLEET_STARTS:
-        return run_fleet_table(number, config, backend), True
+        return run_fleet_table(number, config), True
     record_event(
         KIND_FALLBACK, source=f"table{number}", target="sequential",
         detail=f"table {number} has no fleet-batched form (eligible "

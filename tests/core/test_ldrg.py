@@ -180,6 +180,47 @@ class TestOracleCallDiscipline:
                       evaluation_model=counting)
         assert counting.calls == 1 + result.num_added_edges
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])  # adds 1, 2 and 0 edges
+    def test_oracle_call_order_with_split_oracles(self, seed, tech):
+        """Each oracle sees exactly the sequence of graphs the greedy loop
+        of Figure 4 implies — the order a per-instance fault stream (the
+        chaos oracle) is keyed to. The search oracle never sees an
+        accepted graph on its own."""
+        log = []
+
+        class RecordingModel(ElmoreGraphModel):
+            cacheable = False  # every call reaches the recorder
+
+            def __init__(self, tech, label):
+                super().__init__(tech)
+                self.label = label
+
+            def delays(self, graph, widths=None):
+                log.append((self.label, frozenset(graph.edges())))
+                return super().delays(graph, widths)
+
+        net = Net.random(8, seed=seed)
+        budget = 2
+        result = ldrg(net, tech,
+                      delay_model=RecordingModel(tech, "search"),
+                      evaluation_model=RecordingModel(tech, "evaluate"),
+                      max_added_edges=budget, candidate_evaluator="naive")
+        graph = prim_mst(net)
+
+        def scored(graph):
+            return [("search", frozenset(graph.with_edge(*c).edges()))
+                    for c in graph.candidate_edges()]
+
+        expected = [("evaluate", frozenset(graph.edges())),
+                    ("search", frozenset(graph.edges()))]
+        for record in result.history:
+            expected += scored(graph)
+            graph.add_edge(*record.edge)
+            expected.append(("evaluate", frozenset(graph.edges())))
+        if result.num_added_edges < budget:
+            expected += scored(graph)  # the round that found no winner
+        assert log == expected
+
 
 class TestAmbiguousStartingGraph:
     def test_graph_plus_initial_rejected(self, net10, tech, fast_model):

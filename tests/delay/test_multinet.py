@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.ldrg import ldrg
+from repro.delay.elmore_tree import elmore_delays
 from repro.delay.incremental import (
     DelayMemo,
-    IncrementalElmoreEvaluator,
     MemoizedDelayModel,
     NaiveCandidateEvaluator,
     get_candidate_evaluator,
@@ -20,10 +20,12 @@ from repro.delay.multinet import (
     route_fleet,
 )
 from repro.delay.parameters import Technology
-from repro.delay.xp import resolve_backend
 from repro.geometry.net import Net
+from repro.geometry.point import Point
 from repro.graph.mst import prim_mst
-from repro.guard.incidents import KIND_FALLBACK
+from repro.graph.routing_graph import RoutingGraph
+from repro.guard.incidents import KIND_FALLBACK, KIND_QUARANTINE
+from repro.guard.policy import GuardPolicy, guard_scope
 from repro.runtime import provenance
 
 TECH = Technology.cmos08()
@@ -43,14 +45,19 @@ def assert_scores_match(got, want):
         assert g == pytest.approx(w, rel=RELATIVE_TOLERANCE)
 
 
+def fleet_scores(graph, candidates, weights=None):
+    """One member's scores from a fleet-of-one generation."""
+    return FleetEvaluator(TECH, weights=weights).evaluate_generation(
+        [graph], [candidates])[1][0]
+
+
 class TestFleetEvaluator:
-    def test_single_net_matches_incremental(self):
+    def test_single_net_matches_naive(self):
         graph = cyclic_graph()
         candidates = graph.candidate_edges()
-        fleet = FleetEvaluator(TECH)
-        incremental = IncrementalElmoreEvaluator(TECH)
-        assert_scores_match(fleet.score_additions(graph, candidates),
-                            incremental.score_additions(graph, candidates))
+        naive = NaiveCandidateEvaluator(ElmoreGraphModel(TECH))
+        assert_scores_match(fleet_scores(graph, candidates),
+                            naive.score_additions(graph, candidates))
 
     def test_generation_base_delays_match_oracle(self):
         graphs = [cyclic_graph(seed=s) for s in (3, 4, 5)]
@@ -91,21 +98,10 @@ class TestFleetEvaluator:
         graph = cyclic_graph(seed=23)
         weights = {s: 0.5 + (s % 3) for s in graph.sink_indices()}
         candidates = graph.candidate_edges()
-        fleet = FleetEvaluator(TECH, weights=weights)
         naive = NaiveCandidateEvaluator(ElmoreGraphModel(TECH),
                                         weights=weights)
-        assert_scores_match(fleet.score_additions(graph, candidates),
+        assert_scores_match(fleet_scores(graph, candidates, weights),
                             naive.score_additions(graph, candidates))
-
-    def test_width_upgrades_match_incremental(self):
-        graph = cyclic_graph(seed=31)
-        widths = {edge: 1.0 for edge in graph.edges()}
-        upgrades = [(edge, 3.0) for edge in graph.edges()]
-        fleet = FleetEvaluator(TECH)
-        incremental = IncrementalElmoreEvaluator(TECH)
-        assert_scores_match(
-            fleet.score_width_upgrades(graph, widths, upgrades),
-            incremental.score_width_upgrades(graph, widths, upgrades))
 
     def test_empty_candidate_batches(self):
         graph = prim_mst(Net.random(4, seed=2))
@@ -113,21 +109,11 @@ class TestFleetEvaluator:
             [graph], [[]])
         assert scores == [[]]
         assert delays[0]
-        assert FleetEvaluator(TECH).score_additions(graph, []) == []
 
     def test_fleet_mismatch_rejected(self):
         graph = prim_mst(Net.random(4, seed=2))
         with pytest.raises(ValueError, match="fleet mismatch"):
             FleetEvaluator(TECH).evaluate_generation([graph], [[], []])
-
-    def test_registered_with_get_candidate_evaluator(self):
-        evaluator = get_candidate_evaluator(ElmoreGraphModel(TECH),
-                                            mode="multinet")
-        graph = cyclic_graph(seed=41)
-        candidates = graph.candidate_edges()
-        naive = NaiveCandidateEvaluator(ElmoreGraphModel(TECH))
-        assert_scores_match(evaluator.score_additions(graph, candidates),
-                            naive.score_additions(graph, candidates))
 
 
 class TestMemoIdentity:
@@ -161,11 +147,10 @@ class TestMemoIdentity:
 
 class TestFactorizationFallback:
     def test_singular_stack_falls_back_with_event(self):
-        xp = resolve_backend("numpy")
         stack = np.zeros((2, 3, 3))  # singular: cholesky must reject
         with provenance.collecting() as events:
             with pytest.raises(Exception):
-                _batched_spd_inverse(stack, xp, "multinet-base")
+                _batched_spd_inverse(stack, "multinet-base")
         kinds = [(e.kind, e.target) for e in events]
         assert (KIND_FALLBACK, "guarded-factorization") in kinds
 
@@ -201,7 +186,7 @@ class TestRouteFleet:
         nets = [Net.random(3 + (i % 5), seed=200 + i, name=f"n{i}")
                 for i in range(8)]
         sequential = [ldrg(net, TECH, delay_model="elmore",
-                           candidate_evaluator="incremental")
+                           candidate_evaluator="naive")
                       for net in nets]
         fleet = route_fleet(nets, TECH)
         for seq, bat in zip(sequential, fleet):
@@ -252,3 +237,60 @@ class TestRouteFleet:
         nets = [Net.random(4, seed=700)]
         result = route_fleet(nets, TECH, algorithm="sldrg")[0]
         assert result.algorithm == "sldrg"
+
+    def test_budget_checked_before_scoring(self, monkeypatch):
+        """A member at its edge budget finalizes without its candidate
+        batch ever reaching the stacked scorer."""
+        nets = [Net.random(7, seed=510 + i) for i in range(3)]
+        seen = []
+        real = FleetEvaluator.evaluate_generation
+
+        def spy(self, graphs, candidates):
+            seen.append([len(batch) for batch in candidates])
+            return real(self, graphs, candidates)
+
+        monkeypatch.setattr(FleetEvaluator, "evaluate_generation", spy)
+        capped = route_fleet(nets, TECH, max_added_edges=1)
+        assert all(r.num_added_edges == 1 for r in capped)
+        assert len(seen) == 2 and all(seen[0])
+        assert seen[1] == [0, 0, 0]
+
+    def test_audited_fleet_quarantines_members_and_keeps_edges(self):
+        """Under a full-rate audit with an injected fast-path error, every
+        member is quarantined onto the naive reference and sits out of
+        the stacked call, yet chooses the clean run's edges."""
+        nets = [Net.random(6, seed=520 + i, name=f"q{i}") for i in range(3)]
+        clean = route_fleet(nets, TECH)
+        policy = GuardPolicy(mode="audit", audit_rate=1.0, inject_error=1e-3)
+        with guard_scope(policy), provenance.collecting() as events:
+            audited = route_fleet(nets, TECH)
+        quarantined = {e.source for e in events
+                       if e.kind == KIND_QUARANTINE}
+        assert quarantined == {f"multinet:ldrg:q{i}" for i in range(3)}
+        for want, got in zip(clean, audited):
+            assert sorted(got.graph.edges()) == sorted(want.graph.edges())
+            assert [r.edge for r in got.history] == [
+                r.edge for r in want.history]
+
+    def test_long_net_matches_tree_elmore(self):
+        """The fleet lane inverts without regularization, so on a very
+        long net it keeps the tree Elmore value that the guarded
+        single-net lane's regularization loses, by 30x (see ROADMAP).
+
+        The bound is 1e-3, not 1e-9: the zero-length pseudo-short (1e6 S)
+        and the 1e8 µm wire (3.3e-7 S) share a diagonal entry of G, whose
+        float64 sum keeps the wire's share only to about 1.7e-4.
+        """
+        length = 1e8
+        net = Net.from_points([(0, 0), (length, 0), (length, 1)])
+        tree = RoutingGraph(net)
+        steiner = tree.add_steiner_point(Point(length, 0))
+        tree.add_edge(0, steiner)
+        tree.add_edge(steiner, 1)
+        tree.add_edge(steiner, 2)
+        result = route_fleet([tree], TECH)[0]
+        want = elmore_delays(tree, TECH)
+        assert result.num_added_edges == 0
+        for sink in (1, 2):
+            assert result.delays[sink] == pytest.approx(want[sink],
+                                                        rel=1e-3)
