@@ -44,8 +44,9 @@ class ContractOptions:
     #: ``TrialFailure`` value, so (almost) nothing may escape them.
     pool_wrappers: tuple[str, ...] = (
         "repro.runtime.pool._worker_main",
-        "repro.runtime.pool._run_serial",
-        "repro.runtime.pool._run_parallel",
+        "repro.runtime.pool.run_task",
+        "repro.runtime.pool.InlineExecutor.poll",
+        "repro.runtime.pool.WorkerPool.poll",
     )
     #: Types a pool wrapper may still surface: journal/pipe I/O failures
     #: happen outside the per-trial conversion and must reach the

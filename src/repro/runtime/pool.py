@@ -1,18 +1,21 @@
 """Isolated trial execution: serial fault containment and a process pool.
 
 One crashed, hung, or exception-raising trial must never take down a
-sweep. Two execution paths provide that guarantee:
+sweep. Two executors share one submit/poll/shutdown shape and one per-task
+body (:func:`run_task`, which enforces the per-trial ``SIGALRM``
+deadline and converts an exception into a
+:class:`~repro.runtime.trial.TrialFailure`):
 
-* **serial** (``workers=0``) — trials run in-process; exceptions are
-  caught and converted to :class:`~repro.runtime.trial.TrialFailure`,
-  and a per-trial wall-clock budget is enforced with ``SIGALRM`` where
-  the platform allows.
-* **parallel** (``workers >= 1``) — each worker is its own OS process
-  with a dedicated pipe; the parent hands out one task at a time, so it
-  always knows exactly which trial a worker holds. A worker that dies
-  (segfault, ``os._exit``, OOM-kill) yields a ``"crash"`` failure for
-  its in-flight trial and is replaced; one that overruns its deadline
-  past a grace period is killed and replaced (``"timeout"``).
+* :class:`InlineExecutor` (``workers=0``) — trials run in-process, one
+  at a time, on the calling thread.
+* :class:`WorkerPool` (``workers >= 1``) — each worker is its own OS
+  process with a dedicated pipe; the parent hands out one task at a
+  time, so it always knows exactly which trial a worker holds. A worker
+  that dies (segfault, ``os._exit``, OOM-kill) yields a ``"crash"``
+  failure for its in-flight trial and is replaced; one that overruns its
+  deadline past a grace period is killed and replaced (``"timeout"``).
+  Workers come from a fork server, never from forking the (possibly
+  threaded) caller.
 
 Results are keyed by trial, never by completion order, so aggregation
 is bit-identical for any worker count.
@@ -21,7 +24,6 @@ is bit-identical for any worker count.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import sys
 import threading
@@ -31,17 +33,16 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
 from multiprocessing.context import BaseContext
 from multiprocessing.process import BaseProcess
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.runtime.errors import TrialTimeout
 from repro.runtime.trial import (
     FAILURE_CRASH,
-    FAILURE_DRAINED,
     FAILURE_TIMEOUT,
     TrialFailure,
     TrialKey,
     TrialOutcome,
-    TrialResult,
 )
 
 #: Extra seconds past the in-worker alarm before the parent hard-kills.
@@ -64,7 +65,7 @@ class PoolTask:
     """
 
     key: TrialKey
-    fn: Callable[..., TrialResult]
+    fn: Callable[..., TrialOutcome]
     args: tuple[Any, ...] = ()
 
 
@@ -93,6 +94,25 @@ def trial_deadline(seconds: float | None) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
+def run_task(fn: Callable[..., TrialOutcome], args: tuple[Any, ...],
+             timeout: float | None, strict: bool = False) -> TrialOutcome:
+    """Run one task under its deadline: the body every executor shares.
+
+    An exception (the deadline's :class:`TrialTimeout` included) becomes
+    a structured :class:`TrialFailure`, unless ``strict`` asks for it to
+    propagate (the historical abort-on-error semantics).
+    """
+    start = time.perf_counter()
+    try:
+        with trial_deadline(timeout):
+            return fn(*args)
+    except Exception as exc:
+        if strict:
+            raise
+        return TrialFailure.from_exception(
+            exc, elapsed=time.perf_counter() - start)
+
+
 def run_tasks(tasks: Sequence[PoolTask], *,
               workers: int = 0,
               timeout: float | None = None,
@@ -116,32 +136,66 @@ def run_tasks(tasks: Sequence[PoolTask], *,
         raise ValueError("workers must be >= 0")
     if strict and workers > 0:
         raise ValueError("strict mode is serial-only (workers=0)")
-    if workers == 0:
-        return _run_serial(tasks, timeout=timeout, strict=strict,
-                           on_outcome=on_outcome)
-    return _run_parallel(tasks, workers=workers, timeout=timeout,
-                         on_outcome=on_outcome)
-
-
-def _run_serial(tasks: Sequence[PoolTask], *, timeout: float | None,
-                strict: bool, on_outcome: OutcomeHook | None
-                ) -> dict[TrialKey, TrialOutcome]:
+    executor: InlineExecutor | WorkerPool = (
+        InlineExecutor(strict=strict) if workers == 0
+        else WorkerPool(min(workers, len(tasks)) or 1))
+    pending = list(reversed(tasks))  # pop() serves tasks in given order
     outcomes: dict[TrialKey, TrialOutcome] = {}
-    for task in tasks:
-        start = time.perf_counter()
-        outcome: TrialOutcome
-        try:
-            with trial_deadline(timeout):
-                outcome = task.fn(*task.args)
-        except Exception as exc:
-            if strict:
-                raise
-            outcome = TrialFailure.from_exception(
-                exc, elapsed=time.perf_counter() - start)
-        outcomes[task.key] = outcome
-        if on_outcome is not None:
-            on_outcome(task.key, outcome)
+    try:
+        while len(outcomes) < len(tasks):
+            landed: list[tuple[TrialKey, TrialOutcome]] = []
+            while pending and executor.can_accept():
+                task = pending.pop()
+                immediate = executor.submit(task, timeout)
+                if immediate is not None:
+                    landed.append((task.key, immediate))
+            for key, outcome in landed + executor.poll(_WAIT_TICK):
+                outcomes[key] = outcome
+                if on_outcome is not None:
+                    on_outcome(key, outcome)
+    finally:
+        executor.shutdown()
     return outcomes
+
+
+class InlineExecutor:
+    """:class:`WorkerPool`'s submit/poll shape, run in-process.
+
+    :meth:`submit` holds one task; the next :meth:`poll` runs it on the
+    calling thread through :func:`run_task`, without waiting (on the
+    CLI's main thread, so ``trial_deadline`` arms ``SIGALRM``). Crashes
+    and alarm-proof hangs are not contained: that takes a WorkerPool.
+    ``strict`` re-raises a task's exception from :meth:`poll`.
+    """
+
+    def __init__(self, strict: bool = False):
+        self._strict = strict
+        self._held: tuple[PoolTask, float | None] | None = None
+        self._closed = False
+
+    def can_accept(self) -> bool:
+        return not self._closed and self._held is None
+
+    def submit(self, task: PoolTask,
+               timeout: float | None = None) -> TrialFailure | None:
+        """Hold one task for the next :meth:`poll`; never fails early."""
+        if not self.can_accept():
+            raise RuntimeError("executor is shut down or holds a task")
+        self._held = (task, timeout)
+        return None
+
+    def poll(self, timeout: float = _WAIT_TICK
+             ) -> list[tuple[TrialKey, TrialOutcome]]:
+        """Run the held task, if any (``timeout`` is never waited)."""
+        if self._held is None:
+            return []
+        (task, budget), self._held = self._held, None
+        return [(task.key, run_task(task.fn, task.args, budget,
+                                    self._strict))]
+
+    def shutdown(self) -> None:
+        self._closed = True
+        self._held = None
 
 
 # ---------------------------------------------------------------------------
@@ -150,44 +204,47 @@ def _run_serial(tasks: Sequence[PoolTask], *, timeout: float | None,
 
 _STOP = ("stop",)
 
+#: Process name of every pool worker (see :func:`in_pool_worker`).
+_WORKER_NAME = "repro-pool-worker"
+
+#: Imported once by the fork server, so fresh workers start warm.
+_WORKER_PRELOAD = ["repro.service.session", "repro.runtime.execute"]
+
+
+def in_pool_worker() -> bool:
+    """Whether the caller runs inside a :class:`WorkerPool` worker."""
+    return multiprocessing.current_process().name == _WORKER_NAME
+
 
 def _worker_main(conn: Connection) -> None:
     """Worker loop: receive one task, run it, send one outcome, repeat."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns Ctrl-C
-    while True:
-        try:
+    try:
+        while True:
             message = conn.recv()
-        except (EOFError, OSError):  # repro: allow=contracts-broad-catch-swallow — parent closed the pipe: normal shutdown, nothing to report
-            return
-        if message[0] == "stop":
-            return
-        _tag, key, fn, args, timeout = message
-        start = time.perf_counter()
-        outcome: TrialOutcome
-        try:
-            with trial_deadline(timeout):
-                outcome = fn(*args)
-        except Exception as exc:
-            outcome = TrialFailure.from_exception(
-                exc, elapsed=time.perf_counter() - start)
-        try:
-            conn.send((key, outcome))
-        except Exception as send_exc:
-            # Unpicklable payload: report a structured failure instead
-            # of dying — with the original error preserved, on stderr
-            # (the parent cannot see it otherwise) and in the failure
-            # message itself.
-            detail = f"{type(send_exc).__name__}: {send_exc}"
-            print(f"repro.runtime.pool worker: could not send outcome "
-                  f"for {key!r}: {detail}", file=sys.stderr)
+            if message[0] == "stop":
+                return
+            _tag, key, fn, args, timeout = message
+            start = time.perf_counter()
+            outcome = run_task(fn, args, timeout)
             try:
-                conn.send((key, TrialFailure(
+                reply = ForkingPickler.dumps((key, outcome))
+            except Exception as exc:
+                # Unpicklable payload: report a structured failure
+                # instead — with the original error preserved, on stderr
+                # (the parent cannot see it otherwise) and in the
+                # failure message itself.
+                detail = f"{type(exc).__name__}: {exc}"
+                print(f"repro.runtime.pool worker: could not send outcome "
+                      f"for {key!r}: {detail}", file=sys.stderr)
+                reply = ForkingPickler.dumps((key, TrialFailure(
                     kind="exception", error_type="PicklingError",
                     message=f"trial payload could not be pickled "
                             f"({detail})",
                     elapsed=time.perf_counter() - start)))
-            except Exception:  # repro: allow=contracts-broad-catch-swallow — even the fallback failed: the pipe is dead and the stderr line above is the last reachable channel, so all that is left is to die loudly enough for the parent's crash detection
-                os._exit(1)
+            conn.send_bytes(reply)
+    except (EOFError, OSError):  # repro: allow=contracts-broad-catch-swallow — the parent closed the pipe or is gone: normal shutdown, nothing to report and no one to report it to
+        return
 
 
 class _Worker:
@@ -196,7 +253,7 @@ class _Worker:
     def __init__(self, context: BaseContext):
         parent_conn, child_conn = multiprocessing.Pipe()
         process = context.Process(target=_worker_main, args=(child_conn,),
-                                  daemon=True)
+                                  name=_WORKER_NAME, daemon=True)
         process.start()
         child_conn.close()  # parent copy — close so worker death gives EOF
         self.process: BaseProcess = process
@@ -244,9 +301,9 @@ class WorkerPool:
     :func:`run_tasks` owns a fixed task list and returns when it is
     done; a ``WorkerPool`` is long-lived — callers (the routing
     service's request loop) submit tasks as they arrive, :meth:`poll`
-    for completions, and eventually :meth:`drain`: stop dispatching,
-    await in-flight work up to a deadline, and convert stragglers to
-    structured ``"drained"`` failures instead of hard-killing silently.
+    for completions, and :meth:`shutdown` when done. The caller owns
+    any graceful drain: it decides how long in-flight work may still
+    land before shutdown kills it.
 
     Workers are spawned lazily up to ``workers``; a worker that crashes
     or overruns its per-task deadline is killed and simply not counted
@@ -255,8 +312,8 @@ class WorkerPool:
     Args:
         workers: maximum concurrent worker processes (values below 1
             are treated as 1 — callers validate their own flags).
-        context: multiprocessing context (defaults to fork where
-            available).
+        context: multiprocessing context (defaults to a preloaded fork
+            server where available, else spawn).
     """
 
     def __init__(self, workers: int, context: BaseContext | None = None):
@@ -264,14 +321,9 @@ class WorkerPool:
         self._context = context if context is not None else _pool_context()
         self._live: list[_Worker] = []
         self._idle: list[_Worker] = []
-        self._draining = False
         self._closed = False
 
     # -- capacity -----------------------------------------------------
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def in_flight(self) -> int:
         """Tasks currently assigned to a live worker."""
@@ -282,8 +334,8 @@ class WorkerPool:
 
     def can_accept(self) -> bool:
         """Whether :meth:`submit` would dispatch immediately."""
-        return (not self._draining and not self._closed
-                and (bool(self._idle) or len(self._live) < self.target))
+        return not self._closed and (bool(self._idle)
+                                     or len(self._live) < self.target)
 
     # -- dispatch -----------------------------------------------------
 
@@ -304,8 +356,6 @@ class WorkerPool:
         """
         if self._closed:
             raise RuntimeError("pool is shut down")
-        if self._draining:
-            raise RuntimeError("pool is draining; no new tasks")
         while True:
             worker = self._checkout()
             try:
@@ -374,39 +424,6 @@ class WorkerPool:
 
     # -- lifecycle ----------------------------------------------------
 
-    def drain(self, grace: float = 30.0
-              ) -> dict[TrialKey, TrialOutcome]:
-        """Graceful shutdown: finish in-flight work, then close.
-
-        Stops dispatching (``submit`` refuses from this point on),
-        awaits in-flight tasks for up to ``grace`` seconds, and converts
-        any straggler still running at the deadline into a structured
-        :class:`TrialFailure` with ``kind="drained"`` before killing its
-        worker. Always leaves the pool fully shut down.
-
-        Returns:
-            Every outcome that landed during the drain, keyed by trial
-            (completions, crashes, timeouts, and drained stragglers).
-        """
-        self._draining = True
-        outcomes: dict[TrialKey, TrialOutcome] = {}
-        deadline = time.monotonic() + max(grace, 0.0)
-        while self.in_flight() and time.monotonic() < deadline:
-            tick = min(_WAIT_TICK, max(deadline - time.monotonic(), 0.0))
-            for key, outcome in self.poll(timeout=tick):
-                outcomes[key] = outcome
-        for worker in list(self._live):
-            if worker.task is None:
-                continue
-            outcomes[worker.task.key] = TrialFailure(
-                kind=FAILURE_DRAINED, error_type="TrialDrained",
-                message=f"trial abandoned by graceful drain after its "
-                        f"{grace:g}s grace period",
-                elapsed=worker.elapsed())
-            self._discard(worker)
-        self.shutdown()
-        return outcomes
-
     def shutdown(self) -> None:
         """Immediate teardown: stop idle workers, kill busy ones."""
         self._closed = True
@@ -437,32 +454,6 @@ class WorkerPool:
         self.shutdown()
 
 
-def _run_parallel(tasks: Sequence[PoolTask], *, workers: int,
-                  timeout: float | None, on_outcome: OutcomeHook | None
-                  ) -> dict[TrialKey, TrialOutcome]:
-    pending = list(reversed(tasks))  # pop() serves tasks in given order
-    outcomes: dict[TrialKey, TrialOutcome] = {}
-    pool = WorkerPool(min(workers, len(tasks)) or 1)
-
-    def settle(key: TrialKey, outcome: TrialOutcome) -> None:
-        outcomes[key] = outcome
-        if on_outcome is not None:
-            on_outcome(key, outcome)
-
-    try:
-        while len(outcomes) < len(tasks):
-            while pending and pool.can_accept():
-                task = pending.pop()
-                immediate = pool.submit(task, timeout)
-                if immediate is not None:
-                    settle(task.key, immediate)
-            for key, outcome in pool.poll(_WAIT_TICK):
-                settle(key, outcome)
-    finally:
-        pool.shutdown()
-    return outcomes
-
-
 def _crash_failure(worker: _Worker) -> TrialFailure:
     worker.process.join(timeout=5.0)  # reap, so the exit code is readable
     exitcode = worker.process.exitcode
@@ -473,6 +464,14 @@ def _crash_failure(worker: _Worker) -> TrialFailure:
 
 
 def _pool_context() -> BaseContext:
-    """Prefer fork (fast, inherits imports); fall back to the default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    """A fork server with the worker modules preloaded, else spawn.
+
+    Never plain ``fork``: a daemon's workers start after its reader and
+    heartbeat threads, and a forked child inherits every lock another
+    thread held at that instant.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(_WORKER_PRELOAD)
+    return context

@@ -66,7 +66,6 @@ from repro.service.protocol import (
 from repro.service.session import (
     ALGORITHMS,
     SessionConfig,
-    execute_request,
     multinet_eligible,
     request_fingerprint,
     route_fleet_outcomes,
@@ -109,7 +108,6 @@ __all__ = [
     "build_fault_stream",
     "encode_frame",
     "error_response",
-    "execute_request",
     "load_pending",
     "multinet_eligible",
     "ok_response",

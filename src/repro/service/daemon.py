@@ -14,11 +14,19 @@ execution failures all come back as typed error responses.
 
 Execution
 ---------
-``workers=0`` routes requests serially on the daemon's main thread,
-where the runtime pool's ``trial_deadline`` arms ``SIGALRM``;
-``workers>=1`` ships requests to a persistent
+One executor loop serves both transports and both modes. It takes
+admitted requests off the queue, answers warm-cache hits and expired
+deadlines, gathers fleet-eligible (``--multinet``) requests into one
+stacked batch, and submits the rest — one
+:func:`~repro.service.session.route_outcome` call each — to an
+executor. ``workers=0`` is an in-process
+:class:`~repro.runtime.pool.InlineExecutor`: requests route one at a
+time on the daemon's main thread, where ``trial_deadline`` arms
+``SIGALRM``. ``workers>=1`` is a persistent
 :class:`~repro.runtime.pool.WorkerPool` of isolated processes, so a
 kill or hard hang costs one request and one worker, never the daemon.
+Every outcome is settled the same way: circuit breakers, wire frame
+(filling the warm cache), delivery.
 
 Identical requests (same config fingerprint) are *coalesced*: the first
 becomes the leader, later ones wait for the leader's response and
@@ -29,15 +37,17 @@ served without routing at all.
 Shutdown
 --------
 SIGTERM (or :meth:`RoutingDaemon.request_drain`) triggers the graceful
-drain: admission closes (new requests get ``draining`` rejections), the
-backlog and in-flight requests get up to ``drain_grace`` seconds to
-finish, stragglers are failed with structured ``drained`` errors, the
+drain, the same in both modes: admission closes (new requests get
+``draining`` rejections), the executor loop keeps serving the backlog
+and in-flight requests for up to ``drain_grace`` seconds, then fails
+whatever is left with structured ``drained`` errors. The
 journal-backed cache is already durable (atomic per-record writes), and
 the daemon exits 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import signal
@@ -50,10 +60,11 @@ from typing import Any, Callable, IO, Iterator
 
 from repro.contracts import boundary
 from repro.runtime.journal import ResultCache, atomic_write_text
-from repro.runtime.pool import PoolTask, WorkerPool
+from repro.runtime.pool import InlineExecutor, PoolTask, WorkerPool
 from repro.runtime.trial import (
     FAILURE_DRAINED,
     TrialFailure,
+    TrialKey,
     TrialOutcome,
 )
 from repro.service.admission import (
@@ -83,8 +94,6 @@ from repro.service.session import (
     request_fingerprint,
     route_fleet_outcomes,
     route_outcome,
-    run_route_task,
-    task_frame,
     wire_frame,
 )
 from repro.service.supervisor import HEARTBEAT_FILENAME, PID_FILENAME
@@ -245,7 +254,9 @@ class _Admitted:
     budget: float
     wal_seq: int | None = None
     replayed: bool = False
-    skip_engines: frozenset[str] = frozenset()
+    #: The circuit breakers' engine of record for this route (``None``
+    #: when no breaker watches it: breakers off, or the fleet path).
+    engine: str | None = None
     followers: list["_Admitted"] = field(default_factory=list)
 
     def remaining(self) -> float:
@@ -272,6 +283,7 @@ class RoutingDaemon:
         self._previous_sigterm: Any = None
         self._signals_installed = False
         self._heartbeat_stop = threading.Event()
+        self._task_keys = itertools.count()
         self.breakers = (None if self.config.breaker is None
                          else BreakerBoard(self.config.session.engines,
                                            self.config.breaker))
@@ -577,33 +589,116 @@ class RoutingDaemon:
 
     # -- execution ----------------------------------------------------
 
-    def _execute(self, item: _Admitted) -> dict[str, Any]:
-        """Serial path: warm cache, deadline bookkeeping, then route."""
-        warm = self.cache.lookup_cached(item.fingerprint)
-        if warm is not None:
-            return ok_response(item.request.id, "route",
-                               dict(warm, fingerprint=item.fingerprint,
-                                    cached=True))
+    def _run(self) -> None:
+        """The executor loop (runs on the calling thread).
+
+        Serves until the transport's EOF empties the closed queue, or
+        until a drain request: then the backlog and in-flight work get
+        ``drain_grace`` seconds, and whatever is left is failed as
+        ``drained``. The drain flag is checked between requests.
+        """
+        executor: InlineExecutor | WorkerPool = (
+            WorkerPool(self.config.workers) if self.config.workers > 0
+            else InlineExecutor())
+        in_flight: dict[TrialKey, _Admitted] = {}
+        try:
+            while not self._drain_requested.is_set():
+                # Park on the queue only when nothing is in flight.
+                self._intake(executor, in_flight,
+                             wait=0.0 if in_flight else _TICK)
+                if in_flight:
+                    self._settle_polled(executor.poll(_TICK), in_flight)
+                elif self.queue.closed and len(self.queue) == 0:
+                    return
+            self._begin_drain()
+            deadline = time.monotonic() + self.config.drain_grace
+            while ((in_flight or len(self.queue))
+                   and time.monotonic() < deadline):
+                self._intake(executor, in_flight, wait=0.0)
+                tick = min(_TICK, max(deadline - time.monotonic(), 0.0))
+                self._settle_polled(executor.poll(tick), in_flight)
+            for item in [*in_flight.values(), *self.queue.drain_backlog()]:
+                self._deliver(item, self._drained_response(item))
+        finally:
+            executor.shutdown()
+
+    def _intake(self, executor: InlineExecutor | WorkerPool,
+                in_flight: dict[TrialKey, _Admitted], wait: float) -> None:
+        """Move queued requests into the executor while it has room.
+
+        The one pre-route step: warm-cache hits and expired deadlines
+        are answered here; fleet-eligible requests are gathered and
+        routed as one stacked batch; the rest are submitted. ``wait``
+        bounds how long the first take parks on an empty queue.
+        """
+        batch: list[_Admitted] = []
+        while executor.can_accept():
+            item = self.queue.take(timeout=wait)
+            if item is None:
+                break
+            wait = 0.0
+            warm = self.cache.lookup_cached(item.fingerprint)
+            if warm is not None:
+                self._deliver(item, ok_response(
+                    item.request.id, "route",
+                    dict(warm, fingerprint=item.fingerprint, cached=True)))
+            elif item.remaining() <= 0:
+                self._deliver(item, self._expired(item))
+            elif multinet_eligible(item.request, self.config.session):
+                # Fleet-eligible requests never occupy an executor slot:
+                # the stacked graph-Elmore path has no SPICE subprocess
+                # to isolate and finishes in milliseconds.
+                batch.append(item)
+            else:
+                self._submit(executor, item, in_flight)
+        if batch:
+            self._route_fleet(batch)
+
+    def _submit(self, executor: InlineExecutor | WorkerPool,
+                item: _Admitted,
+                in_flight: dict[TrialKey, _Admitted]) -> None:
+        """Hand one request to the executor as a ``route_outcome`` task."""
+        skip = (frozenset() if self.breakers is None
+                else self.breakers.open_engines())
+        if self.breakers is not None:
+            item.engine = self.breakers.engine_of_record(skip)
+        key = (0, next(self._task_keys))
         remaining = item.remaining()
-        if remaining <= 0:
-            return self._expired(item)
-        if multinet_eligible(item.request, self.config.session):
-            # Fleet-of-one keeps serial answers on the same oracle (and
-            # hence the same fingerprint → answer mapping) as pooled
-            # batches of the same daemon config. The stacked path is
-            # pure graph-Elmore, so breakers do not apply.
-            outcome = route_fleet_outcomes(
-                [item.request], self.config.session, remaining)[0]
-        else:
-            skip = (frozenset() if self.breakers is None
-                    else self.breakers.open_engines())
-            outcome = route_outcome(item.request, self.config.session,
-                                    remaining, skip)
-            if self.breakers is not None:
-                self.breakers.observe(
-                    outcome, self.breakers.engine_of_record(skip))
-        return outcome_to_response(item.request, item.fingerprint, outcome,
-                                   cache=self.cache)
+        task = PoolTask(key=key, fn=route_outcome,
+                        args=(item.request, self.config.session,
+                              remaining, skip))
+        immediate = executor.submit(task, timeout=remaining)
+        if immediate is not None:
+            self._settle(item, immediate)
+            return
+        in_flight[key] = item
+
+    def _route_fleet(self, batch: list[_Admitted]) -> None:
+        """Route gathered fleet-eligible requests as one stacked batch.
+
+        One :func:`~repro.service.session.route_fleet_outcomes` call,
+        in-process, whose deadline is the tightest member's remaining
+        budget.
+        """
+        budget = min(item.remaining() for item in batch)
+        outcomes = route_fleet_outcomes(
+            [item.request for item in batch], self.config.session, budget)
+        for item, outcome in zip(batch, outcomes):
+            self._settle(item, outcome)
+
+    def _settle_polled(self, polled: list[tuple[TrialKey, TrialOutcome]],
+                       in_flight: dict[TrialKey, _Admitted]) -> None:
+        for key, outcome in polled:
+            item = in_flight.pop(key, None)
+            if item is not None:
+                self._settle(item, outcome)
+
+    def _settle(self, item: _Admitted, outcome: TrialOutcome) -> None:
+        """Answer one routed request: breakers, wire frame, delivery."""
+        if self.breakers is not None and item.engine is not None:
+            self.breakers.observe(outcome, item.engine)
+        self._deliver(item, outcome_to_response(
+            item.request, item.fingerprint, outcome, cache=self.cache))
 
     def _expired(self, item: _Admitted) -> dict[str, Any]:
         return error_response(
@@ -612,164 +707,11 @@ class RoutingDaemon:
             f"{time.monotonic() - item.admitted_at:.3f}s in queue",
             extra={"fingerprint": item.fingerprint})
 
-    def _drained_response(self, item: _Admitted,
-                          outcome: TrialOutcome | None = None
-                          ) -> dict[str, Any]:
-        if outcome is None:
-            outcome = TrialFailure(
-                kind=FAILURE_DRAINED, error_type="TrialDrained",
-                message="request abandoned by graceful drain")
-        return outcome_to_response(item.request, item.fingerprint, outcome)
-
-    def _run_serial(self) -> None:
-        """Executor loop, serial mode (runs on the calling thread)."""
-        while not self._drain_requested.is_set():
-            item = self.queue.take(timeout=_TICK)
-            if item is not None:
-                self._deliver(item, self._execute(item))
-            elif self.queue.closed:
-                break
-        if self._drain_requested.is_set():
-            self._begin_drain()
-            self._drain_serial_backlog()
-
-    def _drain_serial_backlog(self) -> None:
-        """Serve what fits in the drain grace; fail the rest as drained."""
-        deadline = time.monotonic() + self.config.drain_grace
-        backlog = self.queue.drain_backlog()
-        for index, item in enumerate(backlog):
-            if time.monotonic() >= deadline:
-                for straggler in backlog[index:]:
-                    self._deliver(straggler,
-                                  self._drained_response(straggler))
-                return
-            self._deliver(item, self._execute(item))
-
-    def _run_pooled(self) -> None:
-        """Executor loop, worker-pool mode."""
-        pool = WorkerPool(self.config.workers)
-        in_flight: dict[tuple[int, int], _Admitted] = {}
-        sequence = 0
-
-        def settle(key: tuple[int, int], outcome: TrialOutcome) -> None:
-            settled = in_flight.pop(key, None)
-            if settled is not None:
-                if self.breakers is not None:
-                    self.breakers.observe(
-                        outcome, self.breakers.engine_of_record(
-                            settled.skip_engines))
-                self._deliver(settled, outcome_to_response(
-                    settled.request, settled.fingerprint, outcome,
-                    cache=self.cache))
-
-        try:
-            while not self._drain_requested.is_set():
-                batch: list[_Admitted] = []
-                while pool.can_accept():
-                    item = self.queue.take(timeout=0.0)
-                    if item is None:
-                        break
-                    if multinet_eligible(item.request,
-                                         self.config.session):
-                        # Fleet-eligible requests never occupy a pool
-                        # slot: the whole gathered batch becomes one
-                        # stacked in-process route_fleet call below.
-                        batch.append(item)
-                        continue
-                    self._dispatch(pool, item, in_flight,
-                                   key=(0, sequence))
-                    sequence += 1
-                if batch:
-                    self._execute_fleet(batch)
-                if in_flight:
-                    for key, outcome in pool.poll(_TICK):
-                        settle(key, outcome)
-                elif self.queue.closed and len(self.queue) == 0:
-                    break
-                else:
-                    # Idle: park on the queue instead of spinning
-                    # (poll returns immediately with no busy workers).
-                    idle_item = self.queue.take(timeout=_TICK)
-                    if idle_item is not None:
-                        if multinet_eligible(idle_item.request,
-                                             self.config.session):
-                            self._execute_fleet([idle_item])
-                        else:
-                            self._dispatch(pool, idle_item, in_flight,
-                                           key=(0, sequence))
-                            sequence += 1
-            if self._drain_requested.is_set():
-                self._begin_drain()
-                for key, outcome in pool.drain(
-                        self.config.drain_grace).items():
-                    settle(key, outcome)
-                for leftover in in_flight.values():
-                    self._deliver(leftover,
-                                  self._drained_response(leftover))
-                in_flight.clear()
-                for item in self.queue.drain_backlog():
-                    self._deliver(item, self._drained_response(item))
-        finally:
-            pool.shutdown()
-
-    def _execute_fleet(self, batch: list[_Admitted]) -> None:
-        """Answer gathered fleet-eligible requests as one stacked batch.
-
-        Runs in-process on the executor thread — the stacked graph-
-        Elmore path has no SPICE subprocess to isolate and finishes in
-        milliseconds, so it does not need a pool slot. Warm-cache and
-        expiry bookkeeping is per member; survivors route through one
-        :func:`~repro.service.session.route_fleet_outcomes` call whose
-        deadline is the tightest member's remaining budget.
-        """
-        ready: list[_Admitted] = []
-        for item in batch:
-            warm = self.cache.lookup_cached(item.fingerprint)
-            if warm is not None:
-                self._deliver(item, ok_response(
-                    item.request.id, "route",
-                    dict(warm, fingerprint=item.fingerprint,
-                         cached=True)))
-                continue
-            if item.remaining() <= 0:
-                self._deliver(item, self._expired(item))
-                continue
-            ready.append(item)
-        if not ready:
-            return
-        budget = min(item.remaining() for item in ready)
-        outcomes = route_fleet_outcomes(
-            [item.request for item in ready], self.config.session, budget)
-        for item, outcome in zip(ready, outcomes):
-            self._deliver(item, outcome_to_response(
-                item.request, item.fingerprint, outcome,
-                cache=self.cache))
-
-    def _dispatch(self, pool: WorkerPool, item: _Admitted,
-                  in_flight: dict[tuple[int, int], _Admitted],
-                  key: tuple[int, int]) -> None:
-        warm = self.cache.lookup_cached(item.fingerprint)
-        if warm is not None:
-            self._deliver(item, ok_response(
-                item.request.id, "route",
-                dict(warm, fingerprint=item.fingerprint, cached=True)))
-            return
-        remaining = item.remaining()
-        if remaining <= 0:
-            self._deliver(item, self._expired(item))
-            return
-        skip = (frozenset() if self.breakers is None
-                else self.breakers.open_engines())
-        item.skip_engines = skip
-        task = PoolTask(key=key, fn=run_route_task,
-                        args=(task_frame(item.request),
-                              self.config.session, skip))
-        immediate = pool.submit(task, timeout=remaining)
-        if immediate is not None:
-            self._deliver(item, outcome_to_response(
-                item.request, item.fingerprint, immediate))
-            return
-        in_flight[key] = item
+    def _drained_response(self, item: _Admitted) -> dict[str, Any]:
+        drained = TrialFailure(kind=FAILURE_DRAINED,
+                               error_type="TrialDrained",
+                               message="request abandoned by graceful drain")
+        return outcome_to_response(item.request, item.fingerprint, drained)
 
     # -- front ends ---------------------------------------------------
 
@@ -802,10 +744,7 @@ class RoutingDaemon:
             name="service-reader", daemon=True)
         reader.start()
         try:
-            if self.config.workers > 0:
-                self._run_pooled()
-            else:
-                self._run_serial()
+            self._run()
         finally:
             self._heartbeat_stop.set()
             self._restore_signal_handlers()
@@ -869,10 +808,7 @@ class RoutingDaemon:
             name="service-accept", daemon=True)
         accept_thread.start()
         try:
-            if self.config.workers > 0:
-                self._run_pooled()
-            else:
-                self._run_serial()
+            self._run()
         finally:
             self._heartbeat_stop.set()
             self._restore_signal_handlers()

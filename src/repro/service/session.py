@@ -17,9 +17,10 @@ served without routing at all) and, beneath it, the PR-3 delay memo
 (structurally identical graphs share oracle evaluations when the
 configured oracle is pure).
 
-:func:`run_route_task` is the module-level pool entry point — picklable,
-so the daemon's worker-pool mode ships requests to isolated processes
-where a kill or hang costs one request, never the daemon.
+:func:`route_outcome` is the one per-request route entry: the daemon
+calls it in-process, or ships it (module-level, hence picklable, with
+the request itself) to an isolated pool worker where a kill or hang
+costs one request, never the daemon.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.contracts import boundary
 from repro.core import (
     RoutingResult,
     csorg_ldrg,
@@ -47,13 +47,12 @@ from repro.delay.models import DelayModel, SpiceDelayModel
 from repro.delay.parameters import Technology
 from repro.delay.spice_delay import SpiceOptions
 from repro.geometry.net import Net
-from repro.geometry.point import Point
 from repro.guard.incidents import KIND_FALLBACK, record_event
 from repro.runtime import provenance
 from repro.runtime.provenance import KIND_DEGRADE
 from repro.runtime.chaos import ChaosDelayModel, ChaosPolicy
 from repro.runtime.journal import ResultCache, fingerprint
-from repro.runtime.pool import trial_deadline
+from repro.runtime.pool import in_pool_worker, trial_deadline
 from repro.runtime.resilience import ResilientDelayModel, build_engine_ladder
 from repro.runtime.retry import RetryPolicy
 from repro.runtime.trial import (
@@ -271,15 +270,21 @@ def route_outcome(request: Request, config: SessionConfig,
                   ) -> TrialOutcome:
     """Route one net under a deadline, returning a structured outcome.
 
-    This is the serial (in-daemon) execution path: it runs on the main
-    thread so ``trial_deadline`` can arm ``SIGALRM``. Nothing escapes —
-    any exception, timeout included, lands as a
-    :class:`~repro.runtime.trial.TrialFailure`.
+    The one per-request route entry, in the daemon process and in pool
+    workers alike: it times the route and collects its provenance.
+    Nothing escapes — any exception, timeout included, lands as a
+    :class:`~repro.runtime.trial.TrialFailure`. The deadline arms
+    ``SIGALRM``, so it applies on a main thread (the CLI daemon's, or a
+    worker's). ``skip_engines`` names the ladder rungs whose circuit
+    breaker is open.
     """
     if (config.enable_fault_injection and request.inject == INJECT_KILL):
+        if in_pool_worker():
+            # The fault the harness wants to prove survivable: the
+            # daemon observes a crash outcome and replaces the worker.
+            os._exit(42)
         # In-process execution cannot survive a genuine kill (it would
-        # take the daemon down); the serial path reports the crash the
-        # pool path would observe.
+        # take the daemon down); report the crash a pool would observe.
         return TrialFailure(
             kind=FAILURE_CRASH, error_type="WorkerCrash",
             message="injected worker kill (serial mode: simulated crash)")
@@ -398,26 +403,6 @@ def _route_fleet(requests: Sequence[Request],
     return [result for result in results if result is not None]
 
 
-def run_route_task(frame: Mapping[str, Any], config: SessionConfig,
-                   skip_engines: frozenset[str] = frozenset()
-                   ) -> TrialResult:
-    """Pool-worker entry point: route one request frame or raise.
-
-    Module-level (hence picklable); the worker pool converts exceptions
-    and timeouts to structured failures, and an injected worker kill
-    here really does kill the worker process — the daemon observes a
-    ``crash`` outcome and replaces the worker, which is exactly the
-    fault the harness wants to prove survivable. ``skip_engines`` is
-    the dispatching daemon's snapshot of open circuit breakers.
-    """
-    request = _request_from_task_frame(frame)
-    if config.enable_fault_injection and request.inject == INJECT_KILL:
-        os._exit(42)
-    with provenance.collecting() as events:
-        result = _route(request, config, skip_engines)
-    return TrialResult.from_routing(result, provenance=tuple(events))
-
-
 def wire_frame(request: Request) -> dict[str, Any]:
     """The request's full wire form, re-parseable by ``parse_frame``.
 
@@ -443,37 +428,6 @@ def wire_frame(request: Request) -> dict[str, Any]:
     return frame
 
 
-def task_frame(request: Request) -> dict[str, Any]:
-    """The picklable frame ``run_route_task`` rebuilds a request from."""
-    net = request.net
-    assert net is not None
-    return {
-        "id": request.id,
-        "algorithm": request.algorithm,
-        "segments": request.segments,
-        "inject": request.inject,
-        "net": {"name": net.name,
-                "source": [net.source.x, net.source.y],
-                "sinks": [[s.x, s.y] for s in net.sinks]},
-    }
-
-
-def _request_from_task_frame(frame: Mapping[str, Any]) -> Request:
-    net_data = frame["net"]
-    net = Net(source=_point(net_data["source"]),
-              sinks=tuple(_point(s) for s in net_data["sinks"]),
-              name=str(net_data.get("name", "net")))
-    segments = frame.get("segments")
-    return Request(op="route", id=frame.get("id"), net=net,
-                   algorithm=str(frame["algorithm"]),
-                   segments=None if segments is None else int(segments),
-                   inject=frame.get("inject"))
-
-
-def _point(raw: Any) -> Point:
-    return Point(float(raw[0]), float(raw[1]))
-
-
 def _route(request: Request, config: SessionConfig,
            skip_engines: frozenset[str] = frozenset()) -> RoutingResult:
     net = request.net
@@ -496,28 +450,6 @@ def _route(request: Request, config: SessionConfig,
                    "inject directive); served on the per-net path")
     model = build_model(config, request, skip_engines)
     return algorithm(net, config.tech, model)
-
-
-@boundary(raises=())
-def execute_request(request: Request, config: SessionConfig,
-                    cache: ResultCache | None = None,
-                    budget: float | None = None) -> dict[str, Any]:
-    """The full serial path: cache lookup → route → cache fill → frame.
-
-    A *total* boundary: every failure mode becomes a structured error
-    frame, nothing raises. ``budget`` is the remaining wall-clock budget
-    (queue wait already subtracted); ``None`` means the config default.
-    """
-    if budget is None:
-        budget = config.deadline_for(request)
-    fp = request_fingerprint(request, config)
-    if cache is not None:
-        warm = cache.lookup_cached(fp)
-        if warm is not None:
-            return ok_response(request.id, "route",
-                               dict(warm, fingerprint=fp, cached=True))
-    outcome = route_outcome(request, config, budget)
-    return outcome_to_response(request, fp, outcome, cache=cache)
 
 
 def outcome_to_response(request: Request, fp: str, outcome: TrialOutcome,

@@ -7,15 +7,22 @@ exist precisely to prove a sweep survives them.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.runtime import PoolTask, TrialFailure, TrialResult, TrialTimeout
-from repro.runtime.pool import run_tasks, trial_deadline
+from repro.runtime.pool import _worker_main, run_tasks, trial_deadline
 from repro.runtime.trial import FAILURE_CRASH, FAILURE_EXCEPTION, FAILURE_TIMEOUT
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def payload(size, trial):
@@ -75,6 +82,41 @@ class TestTrialDeadline:
         with trial_deadline(0.2):
             pass
         time.sleep(0.3)  # an undisarmed alarm would fire here
+
+
+class GoneParent:
+    """The worker's end of a pipe whose parent died after sending a task."""
+
+    def __init__(self):
+        self.sends = 0
+        self._messages = [("task", (5, 0), ok_trial, (5, 0), None)]
+
+    def recv(self):
+        if self._messages:
+            return self._messages.pop()
+        raise EOFError
+
+    def send(self, obj):
+        self.sends += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    send_bytes = send
+
+
+class TestWorkerLoop:
+    def test_exits_quietly_when_parent_is_gone(self, capsys, monkeypatch):
+        def no_hard_exit(code):
+            raise AssertionError(f"worker called os._exit({code})")
+
+        monkeypatch.setattr(os, "_exit", no_hard_exit)
+        conn = GoneParent()
+        previous = signal.getsignal(signal.SIGINT)
+        try:
+            _worker_main(conn)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert conn.sends == 1  # no fallback send into a dead pipe
+        assert capsys.readouterr().err == ""
 
 
 class TestSerial:
@@ -182,22 +224,44 @@ class TestParallel:
         assert isinstance(outcomes[(5, 0)], TrialFailure)
         assert outcomes[(5, 1)] == payload(5, 1)
 
-    def test_unpicklable_payload_reports_original_error(self, capfd):
+    def test_unpicklable_payload_reports_original_error(self):
         # The worker-side send ladder: the structured failure must carry
         # the original pickling error, and the worker must also surface
-        # it on stderr before falling back.
-        tasks = [PoolTask(key=(5, 0), fn=unpicklable_payload_trial),
-                 PoolTask(key=(5, 1), fn=ok_trial, args=(5, 1))]
-        outcomes = run_tasks(tasks, workers=1)
-        failure = outcomes[(5, 0)]
-        assert isinstance(failure, TrialFailure)
-        assert failure.kind == FAILURE_EXCEPTION
-        assert failure.error_type == "PicklingError"
-        assert "could not be pickled" in failure.message
-        assert "Can't pickle" in failure.message  # the original detail
-        assert "could not send outcome" in capfd.readouterr().err
+        # it on stderr before falling back. Workers write to the stderr
+        # their fork server started with, not to this test's captured
+        # descriptor, so the pool runs in a child interpreter whose
+        # stderr is read here.
+        script = textwrap.dedent("""
+            import json
+            from repro.runtime import PoolTask, TrialFailure
+            from repro.runtime.pool import run_tasks
+            from tests.runtime.test_pool import (
+                ok_trial, payload, unpicklable_payload_trial)
+
+            tasks = [PoolTask(key=(5, 0), fn=unpicklable_payload_trial),
+                     PoolTask(key=(5, 1), fn=ok_trial, args=(5, 1))]
+            outcomes = run_tasks(tasks, workers=1)
+            failure = outcomes[(5, 0)]
+            print(json.dumps({
+                "is_failure": isinstance(failure, TrialFailure),
+                "kind": failure.kind, "error_type": failure.error_type,
+                "message": failure.message,
+                "survived": outcomes[(5, 1)] == payload(5, 1)}))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+            text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        assert proc.returncode == 0, proc.stderr
+        failure = json.loads(proc.stdout)
+        assert failure["is_failure"]
+        assert failure["kind"] == FAILURE_EXCEPTION
+        assert failure["error_type"] == "PicklingError"
+        assert "could not be pickled" in failure["message"]
+        assert "Can't pickle" in failure["message"]  # the original detail
+        assert "could not send outcome" in proc.stderr
         # The worker survived and finished the rest of the sweep.
-        assert outcomes[(5, 1)] == payload(5, 1)
+        assert failure["survived"]
 
     def test_more_workers_than_tasks(self):
         outcomes = run_tasks(ok_tasks(2), workers=8)

@@ -1,4 +1,4 @@
-"""The persistent WorkerPool: submit/poll lifecycle and graceful drain.
+"""The persistent WorkerPool: submit/poll lifecycle and casualties.
 
 Worker functions are shared with ``test_pool`` (module-level, hence
 picklable); this file exercises the long-lived API the routing service
@@ -12,14 +12,9 @@ import time
 import pytest
 
 from repro.runtime import PoolTask, TrialFailure, WorkerPool
-from repro.runtime.trial import (
-    FAILURE_CRASH,
-    FAILURE_DRAINED,
-    FAILURE_TIMEOUT,
-)
+from repro.runtime.trial import FAILURE_CRASH, FAILURE_TIMEOUT
 from tests.runtime.test_pool import (
     crash_trial,
-    hang_trial,
     ok_trial,
     payload,
     stubborn_hang_trial,
@@ -132,30 +127,3 @@ class TestCasualties:
                         timeout=0.2)
             outcomes = collect(pool, 1, timeout=30.0)
             assert outcomes[(9, 2)].kind == FAILURE_TIMEOUT
-
-
-class TestDrain:
-    def test_drain_waits_for_quick_work(self):
-        pool = WorkerPool(2)
-        pool.submit(PoolTask(key=(3, 0), fn=ok_trial, args=(3, 0)))
-        pool.submit(PoolTask(key=(3, 1), fn=ok_trial, args=(3, 1)))
-        outcomes = pool.drain(grace=30.0)
-        assert outcomes == {(3, t): payload(3, t) for t in range(2)}
-        assert pool.draining
-
-    def test_drain_converts_stragglers(self):
-        pool = WorkerPool(1)
-        pool.submit(PoolTask(key=(3, 2), fn=hang_trial))
-        outcomes = pool.drain(grace=0.3)
-        assert outcomes[(3, 2)].kind == FAILURE_DRAINED
-        assert "drain" in outcomes[(3, 2)].message
-
-    def test_drain_refuses_new_submissions(self):
-        pool = WorkerPool(1)
-        pool.drain(grace=0.0)
-        with pytest.raises(RuntimeError):
-            pool.submit(PoolTask(key=(3, 3), fn=ok_trial, args=(3, 3)))
-
-    def test_drain_of_idle_pool_is_empty(self):
-        pool = WorkerPool(2)
-        assert pool.drain(grace=1.0) == {}

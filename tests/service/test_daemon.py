@@ -117,6 +117,21 @@ class TestOverload:
         assert daemon.queue.stats.shed == len(kinds)
 
 
+class DrainOnFirstWrite(io.StringIO):
+    """An output stream that asks its daemon to drain on the first reply."""
+
+    def __init__(self, daemon):
+        super().__init__()
+        self.daemon = daemon
+
+    def write(self, text):
+        first = not self.getvalue()
+        written = super().write(text)
+        if first:
+            self.daemon.request_drain()
+        return written
+
+
 class TestDrain:
     def test_request_drain_fails_backlog_as_drained(self):
         config = ServiceConfig(drain_grace=0.0,
@@ -125,9 +140,9 @@ class TestDrain:
         lines = [frame(i=f"d{i}",
                        net={"source": [0, 0], "sinks": [[7 + i, 9 + i]]})
                  for i in range(6)]
-        out = io.StringIO()
-        # drain almost immediately: backlog can't finish in 0s grace
-        threading.Timer(0.05, daemon.request_drain).start()
+        # drain on the first reply, whatever routing costs: the backlog
+        # behind it can't finish in 0s grace
+        out = DrainOnFirstWrite(daemon)
         rc = daemon.serve(io.StringIO("\n".join(lines) + "\n"), out)
         assert rc == 0
         responses = [json.loads(line)
@@ -160,6 +175,54 @@ class TestPoolMode:
         assert answers["ok"]["status"] == "ok"
         assert answers["k"]["error"]["kind"] == "crash"
         assert daemon.stats.worker_crashes == 1
+
+    def test_reply_reports_route_time(self):
+        _, responses = serve_lines([frame()], ServiceConfig(workers=1))
+        (response,) = responses
+        assert response["status"] == "ok"
+        assert response["elapsed"] > 0
+
+    def test_drain_grace_serves_backlog(self):
+        daemon = RoutingDaemon(ServiceConfig(workers=1, drain_grace=60.0))
+        replies = []
+
+        def reply(response):
+            replies.append(response)
+            if len(replies) == 1:
+                daemon.request_drain()
+
+        # The whole backlog is queued before the executor starts, and
+        # the drain lands with the first reply.
+        for i in range(4):
+            daemon.handle_line(
+                frame(i=f"g{i}",
+                      net={"source": [0, 0], "sinks": [[7 + i, 9 + i]]}),
+                reply)
+        assert daemon.serve(io.StringIO(""), io.StringIO()) == 0
+        assert sorted(r["id"] for r in replies) == ["g0", "g1", "g2", "g3"]
+        assert all(r["status"] == "ok" for r in replies), replies
+
+    def test_drain_fails_stragglers_as_drained(self):
+        config = ServiceConfig(
+            session=SessionConfig(enable_fault_injection=True),
+            workers=2, drain_grace=0.5)
+        daemon = RoutingDaemon(config)
+        replies = []
+
+        def reply(response):
+            replies.append(response)
+            if len(replies) == 1:
+                daemon.request_drain()
+
+        # The hung request is still in flight when the quick one's
+        # reply requests the drain; the grace cannot save it.
+        daemon.handle_line(frame(i="hang", inject="hang", deadline=120.0),
+                           reply)
+        daemon.handle_line(frame(i="quick"), reply)
+        assert daemon.serve(io.StringIO(""), io.StringIO()) == 0
+        answers = by_id(replies)
+        assert answers["quick"]["status"] == "ok"
+        assert answers["hang"]["error"]["kind"] == "drained"
 
 
 class TestSocketServe:

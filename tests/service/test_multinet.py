@@ -125,15 +125,22 @@ class TestRouteFleetOutcomes:
 
 class TestDaemonBatchPath:
     def test_serial_and_pooled_agree_bitwise(self):
-        requests = [route_request(i, seed=i) for i in range(4)]
-        serial = serve_frames(requests, workers=0)
-        pooled = serve_frames(requests, workers=2)
-        for request in requests:
+        # Fleet requests, and h1 requests on the per-net SPICE path.
+        fleet = [route_request(i, seed=i) for i in range(4)]
+        spice = [route_request(i, "h1", seed=i) for i in range(4, 6)]
+        serial = serve_frames(fleet + spice, workers=0)
+        pooled = serve_frames(fleet + spice, workers=2)
+        for request in fleet:
             s, p = serial[request.id], pooled[request.id]
             assert s["status"] == p["status"] == "ok"
             assert s["engine"] == p["engine"] == "elmore"
             assert s["result"]["delay"] == p["result"]["delay"]
             assert s["result"]["cost"] == p["result"]["cost"]
+        for request in spice:
+            s, p = serial[request.id], pooled[request.id]
+            assert s["status"] == p["status"] == "ok"
+            assert s["engine"] == p["engine"] != "elmore"
+            assert s["result"] == p["result"]
 
     def test_ineligible_request_served_on_spice_path(self):
         responses = serve_frames([route_request(0, "h1")], workers=0)

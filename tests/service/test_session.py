@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -9,14 +10,15 @@ import pytest
 from repro.delay.models import SpiceDelayModel
 from repro.runtime import ChaosPolicy, ResilientDelayModel, ResultCache
 from repro.runtime.trial import TrialFailure, TrialResult
-from repro.service import Request, parse_frame
+from repro.service import Request, RoutingDaemon, ServiceConfig, parse_frame
 from repro.service.session import (
     ALGORITHMS,
     SessionConfig,
     build_model,
-    execute_request,
+    outcome_to_response,
     request_fingerprint,
     route_outcome,
+    wire_frame,
 )
 
 
@@ -121,9 +123,26 @@ class TestRouteOutcome:
         assert isinstance(outcome, TrialResult)
 
 
+def serve_one(request, config, cache):
+    """Serve one request through a daemon whose warm cache is ``cache``."""
+    daemon = RoutingDaemon(ServiceConfig(session=config))
+    daemon.cache = cache
+    out = io.StringIO()
+    daemon.serve(io.StringIO(json.dumps(wire_frame(request)) + "\n"), out)
+    (response,) = map(json.loads, out.getvalue().splitlines())
+    return response
+
+
+def routed_response(request, config, budget=30.0):
+    """route_outcome projected onto the wire, as the daemon settles it."""
+    outcome = route_outcome(request, config, budget)
+    return outcome_to_response(
+        request, request_fingerprint(request, config), outcome)
+
+
 class TestExecuteRequest:
     def test_ok_frame_shape(self):
-        response = execute_request(route_request(), SessionConfig())
+        response = routed_response(route_request(), SessionConfig())
         assert response["status"] == "ok"
         assert response["cached"] is False
         assert response["result"]["delay"] > 0
@@ -132,9 +151,8 @@ class TestExecuteRequest:
     def test_cache_fill_and_hit(self):
         cache = ResultCache()
         config = SessionConfig()
-        first = execute_request(route_request(), config, cache=cache)
-        second = execute_request(route_request(id="r2"), config,
-                                 cache=cache)
+        first = serve_one(route_request(), config, cache)
+        second = serve_one(route_request(id="r2"), config, cache)
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["id"] == "r2"
@@ -143,16 +161,15 @@ class TestExecuteRequest:
     def test_degraded_results_not_cached(self):
         cache = ResultCache()
         config = SessionConfig(enable_fault_injection=True)
-        first = execute_request(route_request(inject="raise"), config,
-                                cache=cache)
+        first = serve_one(route_request(inject="raise"), config, cache)
         assert first["status"] == "ok" and first["degraded"]
         assert len(cache) == 0
-        second = execute_request(route_request(id="r2", inject="raise"),
-                                 config, cache=cache)
+        second = serve_one(route_request(id="r2", inject="raise"), config,
+                           cache)
         assert second["cached"] is False
 
     def test_expired_budget_is_timeout_error(self):
-        response = execute_request(route_request(), SessionConfig(),
+        response = routed_response(route_request(), SessionConfig(),
                                    budget=1e-6)
         assert response["status"] == "error"
         assert response["error"]["kind"] == "timeout"
@@ -160,6 +177,6 @@ class TestExecuteRequest:
     def test_unknown_algorithm_is_structured(self):
         request = Request(op="route", id="r1",
                           net=route_request().net, algorithm="bogus")
-        response = execute_request(request, SessionConfig())
+        response = routed_response(request, SessionConfig())
         assert response["status"] == "error"
         assert "unknown algorithm" in response["error"]["message"]
